@@ -51,8 +51,8 @@
 //! column of the *current* buffer — disjoint cells, so the epoch loop takes
 //! no locks at all. The epoch barrier both swaps the buffers and publishes
 //! the writes (its atomics establish the happens-before edges). The barrier
-//! itself ([`EpochBarrier`]) spins briefly before parking: epochs are often
-//! shorter than a park/unpark round trip.
+//! itself ([`EpochBarrier`]) busy-waits briefly before parking: epochs are
+//! often shorter than a park/unpark round trip.
 //!
 //! ## Emulating multi-machine deployments
 //!
@@ -588,17 +588,22 @@ impl<T> PhaseCell<T> {
     }
 }
 
-/// Sense-reversing barrier tuned for the epoch loop: arrivals spin briefly
-/// (epochs are often shorter than a park/unpark round trip) and then park
-/// on a condvar. The generation counter is the sense; its release/acquire
-/// pair also publishes every pre-barrier write to every post-barrier reader,
-/// which is what makes the lock-free [`PhaseCell`] exchange sound.
+/// Sense-reversing barrier tuned for the epoch loop: arrivals busy-wait
+/// briefly (epochs are often shorter than a park/unpark round trip) and
+/// then park on a condvar. The generation counter is the sense; its
+/// release/acquire pair also publishes every pre-barrier write to every
+/// post-barrier reader, which is what makes the lock-free [`PhaseCell`]
+/// exchange sound.
 struct EpochBarrier {
     n: usize,
-    /// Spin iterations before parking; zero when the host has fewer cores
-    /// than partitions, where spinning only steals the straggler's
-    /// timeslice.
+    /// Busy-wait rounds before parking.
     spin: u32,
+    /// True when the host has fewer cores than partitions. A busy-wait
+    /// round is then a `yield_now`, which hands the core to a peer that
+    /// still has work (a spin would steal the straggler's timeslice) and
+    /// saves the futex round trip when that peer arrives within a few
+    /// rounds; otherwise it is a spin hint.
+    oversubscribed: bool,
     arrived: AtomicUsize,
     generation: AtomicU64,
     lock: StdMutex<()>,
@@ -607,13 +612,14 @@ struct EpochBarrier {
 
 impl EpochBarrier {
     fn new(n: usize) -> Self {
-        let spin = match std::thread::available_parallelism() {
-            Ok(cores) if cores.get() >= n => 4096,
-            _ => 0,
+        let (spin, oversubscribed) = match std::thread::available_parallelism() {
+            Ok(cores) if cores.get() >= n => (4096, false),
+            _ => (64, true),
         };
         EpochBarrier {
             n,
             spin,
+            oversubscribed,
             arrived: AtomicUsize::new(0),
             generation: AtomicU64::new(0),
             lock: StdMutex::new(()),
@@ -648,7 +654,11 @@ impl EpochBarrier {
             if self.generation.load(Ordering::Acquire) != gen {
                 return;
             }
-            std::hint::spin_loop();
+            if self.oversubscribed {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
         }
         let mut guard = self
             .lock
@@ -1247,11 +1257,15 @@ fn partition_main<W: PartitionWorld>(
                 std::thread::sleep(dur);
             }
             drain_inbox(shared, cur, id, n, &mut part.sched);
-            while let Some(t) = part.sched.peek_time() {
-                if stalled || t >= bound || t > horizon {
-                    break;
-                }
-                let (t, ev) = part.sched.pop().expect("peeked event vanished");
+            // Due events are those strictly before the bound and not past
+            // the horizon: `pop_until`'s inclusive limit is the last such
+            // instant (none at all when the bound is zero or we stall).
+            let limit = bound
+                .as_nanos()
+                .checked_sub(1)
+                .filter(|_| !stalled)
+                .map(|last| SimTime::from_nanos(last).min(horizon));
+            while let Some((t, ev)) = limit.and_then(|l| part.sched.pop_until(l)) {
                 remote.now = t;
                 // Catch model panics at the handler boundary: record a
                 // structured failure and keep following the barrier protocol

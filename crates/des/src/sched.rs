@@ -28,19 +28,31 @@
 //!   days of a desk calendar. Insert and pop are O(1) amortized versus the
 //!   binary heap's O(log n), which is what keeps per-event cost flat at
 //!   100k-host event densities (see the `pdes_scaling` density sweep).
-//!   Event payloads live in a slab (`Vec<Option<E>>` plus a free list), so
-//!   steady-state scheduling allocates nothing; buckets hold only the hot
-//!   `(time, seq, slot)` fields as struct-of-arrays, so the min-scan touches
-//!   dense `u64` arrays and never drags payload bytes through the cache.
+//!   Event payloads live in a slab (payload plus owning seq per slot, and a
+//!   free list), so steady-state scheduling allocates nothing; buckets hold
+//!   only sorted `(time, slot)` entries, and a dense array of bucket head
+//!   times is all the year scan reads, so no payload byte goes through the
+//!   cache until an event is popped.
 //! * [`BinaryHeapFel`]: the classic binary-heap FEL this kernel used before
 //!   the calendar queue. Kept as the differential-testing reference (see
 //!   `crates/des/tests/proptests.rs`) and the "before" side of the
 //!   `pdes_scaling` event-density sweep.
 //!
-//! Both backends use lazy cancellation: cancelled keys go into a tombstone
-//! set owned by the [`Scheduler`] and entries are discarded when they reach
-//! the front of the queue (or, for the calendar queue, when a resize
-//! rehashes every entry anyway).
+//! ## Cancellation and the single scan
+//!
+//! An [`EventKey`] carries the event's sequence number and the slab slot
+//! its payload occupies. The calendar queue records the owning seq of every
+//! slot, so `cancel` is a direct slot lookup: if the slot is still owned by
+//! the key's seq and still holds a payload, the payload is dropped in place.
+//! A bucket entry whose slot is empty is the tombstone; it is discarded when
+//! it surfaces as the scan minimum, or wholesale when a resize rehashes
+//! every entry. No hash set sits on the event path, and the live count is
+//! a plain counter.
+//!
+//! Run loops drain the queue with [`Scheduler::pop_until`], which locates
+//! the minimum once and pops it only if it is due, instead of a
+//! `peek_time` followed by a `pop` that would scan the calendar twice per
+//! executed event.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -50,11 +62,16 @@ use crate::time::{SimDuration, SimTime};
 
 /// Opaque handle identifying a scheduled event, used for cancellation.
 ///
-/// Keys are unique for the lifetime of a [`Scheduler`]; they are never
-/// reused, so a stale key held after its event fired is harmless (cancelling
-/// it is a no-op).
+/// A key names its event by sequence number and by the FEL slot holding the
+/// payload. Sequence numbers are never reused; slots are, and the FEL
+/// checks that a slot is still owned by the key's seq before cancelling, so
+/// a stale key held after its event fired (or was cancelled) is harmless:
+/// cancelling it is a no-op, even once its slot holds a newer event.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventKey(u64);
+pub struct EventKey {
+    seq: u64,
+    slot: u32,
+}
 
 /// Top bit of the sequence space: set for remote-lane (cross-partition)
 /// deliveries so they sort after all locally scheduled events at the same
@@ -69,20 +86,27 @@ const MAX_SENDER: u64 = (1 << (63 - SEND_SEQ_BITS)) - 1;
 
 /// Builds the remote-lane sequence number for a delivery from `sender` with
 /// that sender's `send_seq`-th cross-partition message.
+///
+/// Both range checks are always on: an out-of-range field would bleed into
+/// its neighbour and silently corrupt tie-break order.
 #[inline]
 fn remote_seq(sender: usize, send_seq: u64) -> u64 {
-    debug_assert!((sender as u64) <= MAX_SENDER, "sender id out of range");
-    debug_assert!(send_seq <= SEND_SEQ_MASK, "send-seq counter overflow");
-    REMOTE_LANE | ((sender as u64) << SEND_SEQ_BITS) | (send_seq & SEND_SEQ_MASK)
+    assert!(
+        (sender as u64) <= MAX_SENDER,
+        "sender partition id {sender} exceeds remote-lane capacity"
+    );
+    assert!(
+        send_seq <= SEND_SEQ_MASK,
+        "remote-lane send-seq counter overflow ({send_seq})"
+    );
+    REMOTE_LANE | ((sender as u64) << SEND_SEQ_BITS) | send_seq
 }
 
-/// Hasher for the pending/tombstone sequence sets: the splitmix64
-/// finalizer (full avalanche in three multiplies) instead of SipHash.
-/// Sequence numbers are internal trusted values, never attacker-chosen, so
-/// DoS-resistant hashing buys nothing — and the set operations sit on the
-/// schedule/pop hot path of every event.
+/// Hasher for the reference heap's pending/tombstone sets: the splitmix64
+/// finalizer instead of SipHash. Sequence numbers are internal trusted
+/// values, never attacker-chosen, so DoS-resistant hashing buys nothing.
 #[derive(Clone, Default, Debug)]
-pub struct SeqHasher(u64);
+struct SeqHasher(u64);
 
 impl std::hash::Hasher for SeqHasher {
     fn finish(&self) -> u64 {
@@ -101,17 +125,17 @@ impl std::hash::Hasher for SeqHasher {
     }
 }
 
-/// The sequence-key set used for pending-event and tombstone membership.
-pub type SeqSet = HashSet<u64, std::hash::BuildHasherDefault<SeqHasher>>;
+/// The sequence-key set used for the reference heap's pending-event and
+/// tombstone membership.
+type SeqSet = HashSet<u64, std::hash::BuildHasherDefault<SeqHasher>>;
 
 /// A pluggable future-event-list structure.
 ///
 /// A `Fel` stores `(time, seq, payload)` entries and yields them in strict
-/// `(time, seq)` order. Tombstoned sequences (lazy cancellation) are passed
-/// in by the owning [`Scheduler`]; an implementation discards a tombstoned
-/// entry whenever it surfaces as the minimum — and may purge tombstones
-/// opportunistically (e.g. while rehashing) — always removing the purged seq
-/// from the set so conservation holds.
+/// `(time, seq)` order. It owns cancellation too: [`Fel::push`] returns a
+/// slot that, together with the seq, addresses the entry for
+/// [`Fel::cancel`]. Cancelled entries may linger as tombstones, but they are
+/// never yielded and never counted by [`Fel::live`].
 ///
 /// All implementations must produce **bit-identical pop order**: the
 /// scheduler's determinism contract does not depend on which backend is
@@ -121,29 +145,27 @@ pub trait Fel<E> {
     /// An empty list.
     fn new() -> Self;
 
-    /// Entries currently stored, *including* interior tombstones that have
-    /// not been purged yet. Use [`Scheduler::pending`] for the exact live
-    /// count.
-    fn len(&self) -> usize;
+    /// Entries pushed and neither popped nor cancelled. Exact: tombstones
+    /// awaiting purge are not counted.
+    fn live(&self) -> usize;
 
-    /// True when no entries (live or tombstoned) remain.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    /// Inserts an entry and returns the slot that addresses it for
+    /// [`Fel::cancel`].
+    fn push(&mut self, time: SimTime, seq: u64, event: E) -> u32;
 
-    /// Inserts an entry. `tombs` is provided so implementations may purge
-    /// stale entries while restructuring (the calendar queue drops
-    /// tombstones during a resize rehash).
-    fn push(&mut self, time: SimTime, seq: u64, event: E, tombs: &mut SeqSet);
+    /// Cancels the live entry `seq` pushed into `slot`. Returns `false` if
+    /// that entry already popped or was already cancelled (its slot may
+    /// hold a newer entry by now).
+    fn cancel(&mut self, seq: u64, slot: u32) -> bool;
 
-    /// Removes and returns the minimum live `(time, seq)` entry, discarding
-    /// any tombstoned entries encountered at the front (and removing their
-    /// seqs from `tombs`).
-    fn pop_min(&mut self, tombs: &mut SeqSet) -> Option<(SimTime, u64, E)>;
+    /// Removes and returns the minimum live `(time, seq)` entry if its time
+    /// is at most `limit`; otherwise leaves the list unchanged apart from
+    /// purged tombstones. One search either way.
+    fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, u64, E)>;
 
     /// Timestamp of the minimum live entry, discarding tombstoned entries
-    /// that surface at the front (as `pop_min` would).
-    fn peek_min_time(&mut self, tombs: &mut SeqSet) -> Option<SimTime>;
+    /// that surface at the front (as `pop_until` would).
+    fn peek_min_time(&mut self) -> Option<SimTime>;
 
     /// Estimated resident bytes of the structure (allocated capacity, not
     /// just live entries) — the substrate of the `bytes/host` memory
@@ -178,14 +200,19 @@ impl<E> Ord for Scheduled<E> {
 }
 
 /// The classic binary-heap FEL: O(log n) push/pop, payloads stored inline
-/// in the heap entries.
+/// in the heap entries, cancellation through seq hash sets.
 ///
 /// This is the structure the kernel used before the calendar queue; it is
 /// kept as the reference implementation for differential testing and as the
-/// "before" side of the `pdes_scaling` event-density sweep.
+/// "before" side of the `pdes_scaling` event-density sweep. It has no slots:
+/// `push` returns 0 and `cancel` goes by seq alone.
 #[derive(Debug, Clone)]
 pub struct BinaryHeapFel<E> {
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
+    /// Seqs pushed but neither popped nor cancelled.
+    pending: SeqSet,
+    /// Cancelled seqs whose entries are still in the heap.
+    tombs: SeqSet,
 }
 
 impl<E> Default for BinaryHeapFel<E> {
@@ -194,46 +221,69 @@ impl<E> Default for BinaryHeapFel<E> {
     }
 }
 
+impl<E> BinaryHeapFel<E> {
+    /// Discards tombstoned entries at the top and returns the live head's
+    /// `(time, seq)`.
+    fn purge_head(&mut self) -> Option<(SimTime, u64)> {
+        loop {
+            let Reverse(s) = self.heap.peek()?;
+            let head = (s.time, s.seq);
+            if !self.tombs.remove(&head.1) {
+                return Some(head);
+            }
+            self.heap.pop();
+        }
+    }
+}
+
 impl<E> Fel<E> for BinaryHeapFel<E> {
     fn new() -> Self {
         BinaryHeapFel {
             heap: BinaryHeap::new(),
+            pending: SeqSet::default(),
+            tombs: SeqSet::default(),
         }
     }
 
-    fn len(&self) -> usize {
-        self.heap.len()
+    fn live(&self) -> usize {
+        self.pending.len()
     }
 
-    fn push(&mut self, time: SimTime, seq: u64, event: E, _tombs: &mut SeqSet) {
+    fn push(&mut self, time: SimTime, seq: u64, event: E) -> u32 {
+        self.pending.insert(seq);
         self.heap.push(Reverse(Scheduled { time, seq, event }));
+        0
     }
 
-    fn pop_min(&mut self, tombs: &mut SeqSet) -> Option<(SimTime, u64, E)> {
-        loop {
-            let Reverse(s) = self.heap.pop()?;
-            if tombs.remove(&s.seq) {
-                continue; // tombstoned
-            }
-            return Some((s.time, s.seq, s.event));
+    fn cancel(&mut self, seq: u64, _slot: u32) -> bool {
+        if !self.pending.remove(&seq) {
+            return false;
         }
+        self.tombs.insert(seq);
+        true
     }
 
-    fn peek_min_time(&mut self, tombs: &mut SeqSet) -> Option<SimTime> {
-        while let Some(Reverse(s)) = self.heap.peek() {
-            if tombs.contains(&s.seq) {
-                let Reverse(s) = self.heap.pop().expect("peeked entry vanished");
-                tombs.remove(&s.seq);
-            } else {
-                return Some(s.time);
-            }
+    fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, u64, E)> {
+        let (time, seq) = self.purge_head()?;
+        if time > limit {
+            return None;
         }
-        None
+        let Reverse(s) = self.heap.pop().expect("purged head vanished");
+        self.pending.remove(&seq);
+        Some((s.time, s.seq, s.event))
+    }
+
+    fn peek_min_time(&mut self) -> Option<SimTime> {
+        self.purge_head().map(|(time, _)| time)
     }
 
     fn approx_bytes(&self) -> usize {
+        // Approximates hashbrown's 8-byte key + control byte at its
+        // steady-state load factor.
+        const HASH_SLOT_BYTES: usize = 10;
         std::mem::size_of::<Self>()
             + self.heap.capacity() * std::mem::size_of::<Reverse<Scheduled<E>>>()
+            + (self.pending.capacity() + self.tombs.capacity()) * HASH_SLOT_BYTES
     }
 }
 
@@ -251,65 +301,31 @@ const WIDTH_SAMPLE: usize = 64;
 /// rehashes with a freshly sampled width.
 const DIRECT_STREAK_REHASH: u32 = 8;
 
-/// One calendar bucket, struct-of-arrays: the min-scan reads `times`/`seqs`
-/// only (dense `u64` lanes); `slots` joins in when an entry is removed.
-/// The three vectors are always the same length.
-#[derive(Debug, Clone, Default)]
-struct Bucket {
-    times: Vec<u64>,
-    seqs: Vec<u64>,
-    slots: Vec<u32>,
+/// `heads` value of an empty bucket. An entry stamped `u64::MAX` may share
+/// it harmlessly: such an entry never passes the year scan's `time < top`
+/// test anyway, so the direct search finds it either way.
+const EMPTY_HEAD: u64 = u64::MAX;
+
+/// The hot fields of one queued event: its time and its slab slot. The
+/// tie-breaking seq lives in the slot (a slot is never reused while an
+/// entry points at it), and is read only to order equal times.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    time: u64,
+    slot: u32,
 }
 
-impl Bucket {
-    #[inline]
-    fn push(&mut self, time: u64, seq: u64, slot: u32) {
-        self.times.push(time);
-        self.seqs.push(seq);
-        self.slots.push(slot);
-    }
-
-    /// Removes entry `i` (order within a bucket is irrelevant — scans
-    /// recompute the minimum), returning its slab slot.
-    #[inline]
-    fn swap_remove(&mut self, i: usize) -> u32 {
-        self.times.swap_remove(i);
-        self.seqs.swap_remove(i);
-        self.slots.swap_remove(i)
-    }
-
-    /// Index of the minimum `(time, seq)` entry with `time < top`, i.e. the
-    /// entry belonging to the calendar year currently being scanned.
-    fn min_eligible(&self, top: u64) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, (&t, &s)) in self.times.iter().zip(&self.seqs).enumerate() {
-            if t < top && best.is_none_or(|b| (t, s) < (self.times[b], self.seqs[b])) {
-                best = Some(i);
-            }
-        }
-        best
-    }
-
-    /// Index of the minimum `(time, seq)` entry regardless of year.
-    fn min_any(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, (&t, &s)) in self.times.iter().zip(&self.seqs).enumerate() {
-            if best.is_none_or(|b| (t, s) < (self.times[b], self.seqs[b])) {
-                best = Some(i);
-            }
-        }
-        best
-    }
-
-    fn capacity_bytes(&self) -> usize {
-        self.times.capacity() * std::mem::size_of::<u64>()
-            + self.seqs.capacity() * std::mem::size_of::<u64>()
-            + self.slots.capacity() * std::mem::size_of::<u32>()
-    }
+/// One slab slot: a payload and the seq of the entry that last owned the
+/// slot. `event` is `None` once the entry is cancelled (its bucket entry is
+/// then a tombstone) and while the slot sits on the free list.
+#[derive(Debug, Clone)]
+struct Slot<E> {
+    seq: u64,
+    event: Option<E>,
 }
 
 /// A calendar-queue FEL (Brown 1988): O(1) amortized push/pop with
-/// slab-allocated payloads.
+/// slab-allocated payloads and slot-addressed cancellation.
 ///
 /// Time is divided into buckets of `width` nanoseconds; bucket `b` holds
 /// every pending event whose timestamp falls in a window congruent to `b`
@@ -318,28 +334,40 @@ impl Bucket {
 /// seq)` entry within the current year is the global minimum, so pop order
 /// is exactly the total order the binary heap produced.
 ///
-/// * **Slab payloads** — event payloads live in `slab` (`Vec<Option<E>>`
-///   with a free list); buckets store a `u32` slot index next to the hot
-///   `(time, seq)` fields. Steady-state churn allocates nothing and never
-///   moves payload bytes through the min-scan.
+/// * **Sorted buckets** — each bucket keeps its entries sorted by `(time,
+///   seq)`, and `heads` mirrors every bucket's first time in one dense
+///   `u64` array, so the year scan is a walk over `heads` that never
+///   dereferences a bucket until it hits.
+/// * **Slab payloads** — event payloads and their seqs live in `slab` (one
+///   [`Slot`] per entry, reused through a free list); bucket entries store
+///   only the time and a `u32` slot index. Steady-state churn allocates
+///   nothing and never moves payload bytes through the scan.
+/// * **Cancellation** — `cancel(seq, slot)` checks the slot's owning seq
+///   and empties its payload in place. The bucket entry stays behind as a
+///   tombstone: dropped when it surfaces as the scan minimum, and
+///   wholesale during resize rehashes; only then does its slot return to
+///   the free list.
 /// * **Resize policy** — when average occupancy leaves the
 ///   [`TARGET_OCCUPANCY`]-centred band, every entry is rehashed into a new
 ///   power-of-two bucket array sized for occupancy ~4, with the width
 ///   re-sampled from the [`WIDTH_SAMPLE`] soonest entries (twice their mean
 ///   spacing). A streak of [`DIRECT_STREAK_REHASH`] direct full searches —
 ///   the symptom of a stale width — forces the same rehash.
-/// * **Tombstones** — cancelled entries are dropped when they surface as
-///   the scan minimum, and wholesale during resize rehashes.
 /// * **Snapshots** — `Clone` deep-copies the slab, buckets, and scan
 ///   cursor, so a checkpointed scheduler resumes bit-identically.
 #[derive(Debug, Clone)]
 pub struct CalendarFel<E> {
-    /// Payload slab; `None` slots are free and listed in `free`.
-    slab: Vec<Option<E>>,
+    /// Payload slab; slots with no payload are free (listed in `free`) or
+    /// held by a tombstone.
+    slab: Vec<Slot<E>>,
     /// Free slab slots, reused LIFO.
     free: Vec<u32>,
-    /// The calendar proper. `buckets.len()` is always a power of two.
-    buckets: Vec<Bucket>,
+    /// The calendar proper, each bucket sorted by `(time, seq)`.
+    /// `buckets.len()` is always a power of two.
+    buckets: Vec<Vec<Entry>>,
+    /// `heads[b]` is the time of `buckets[b]`'s first entry, or
+    /// [`EMPTY_HEAD`].
+    heads: Vec<u64>,
     /// `buckets.len() - 1`, for cheap modulo.
     mask: usize,
     /// Bucket width in nanoseconds. Always a power of two so the hot
@@ -347,6 +375,8 @@ pub struct CalendarFel<E> {
     width: u64,
     /// Entries across all buckets, including unpurged tombstones.
     len: usize,
+    /// Entries that are neither popped nor cancelled.
+    live: usize,
     /// Bucket the next scan resumes from.
     scan_bucket: usize,
     /// Exclusive upper time bound of `scan_bucket`'s window in the year
@@ -383,10 +413,14 @@ impl<E> CalendarFel<E> {
         (time & !(self.width - 1)).saturating_add(self.width)
     }
 
-    fn alloc_slot(&mut self, event: E) -> u32 {
+    fn alloc_slot(&mut self, seq: u64, event: E) -> u32 {
+        let entry = Slot {
+            seq,
+            event: Some(event),
+        };
         match self.free.pop() {
             Some(slot) => {
-                self.slab[slot as usize] = Some(event);
+                self.slab[slot as usize] = entry;
                 slot
             }
             None => {
@@ -394,19 +428,40 @@ impl<E> CalendarFel<E> {
                     self.slab.len() < u32::MAX as usize,
                     "calendar-queue slab exhausted (2^32 concurrent events)"
                 );
-                self.slab.push(Some(event));
+                self.slab.push(entry);
                 (self.slab.len() - 1) as u32
             }
         }
     }
 
+    /// Files `e` into its bucket, keeping the bucket sorted by `(time,
+    /// seq)` and `heads` in step. A bucket also holds entries of later
+    /// years (far-future timers, pre-scheduled flow starts) behind the
+    /// current year's, so a push typically shifts a few 16-byte entries:
+    /// a short backward scan and a small move.
     #[inline]
-    fn release_slot(&mut self, slot: u32) -> E {
-        let event = self.slab[slot as usize]
-            .take()
-            .expect("calendar-queue slot already free");
-        self.free.push(slot);
-        event
+    fn insert(&mut self, e: Entry) {
+        let b = self.bucket_of(e.time);
+        let slab = &self.slab;
+        let seq = slab[e.slot as usize].seq;
+        let bucket = &mut self.buckets[b];
+        let at = bucket
+            .iter()
+            .rposition(|x| x.time < e.time || (x.time == e.time && slab[x.slot as usize].seq < seq))
+            .map_or(0, |i| i + 1);
+        bucket.insert(at, e);
+        if at == 0 {
+            self.heads[b] = e.time;
+        }
+    }
+
+    /// Removes bucket `b`'s first (minimum) entry, keeping `heads` in step.
+    #[inline]
+    fn remove_head(&mut self, b: usize) -> Entry {
+        let bucket = &mut self.buckets[b];
+        let e = bucket.remove(0);
+        self.heads[b] = bucket.first().map_or(EMPTY_HEAD, |x| x.time);
+        e
     }
 
     /// Power-of-two bucket count targeting [`TARGET_OCCUPANCY`] entries per
@@ -422,15 +477,16 @@ impl<E> CalendarFel<E> {
     /// (the hot-path math requires it; being up to 2x wide just packs a
     /// couple more entries per bucket). Returns `None` (keep the current
     /// width) with fewer than two entries.
-    fn sampled_width(entries: &mut [(u64, u64, u32)]) -> Option<u64> {
+    fn sampled_width(entries: &mut [Entry]) -> Option<u64> {
         if entries.len() < 2 {
             return None;
         }
         let k = entries.len().min(WIDTH_SAMPLE);
-        entries.select_nth_unstable_by_key(k - 1, |&(t, s, _)| (t, s));
+        // The k soonest times form one multiset however ties are broken.
+        entries.select_nth_unstable_by_key(k - 1, |e| e.time);
         let head = &entries[..k];
-        let lo = head.iter().map(|e| e.0).min().expect("nonempty sample");
-        let hi = head.iter().map(|e| e.0).max().expect("nonempty sample");
+        let lo = head.iter().map(|e| e.time).min().expect("nonempty sample");
+        let hi = head.iter().map(|e| e.time).max().expect("nonempty sample");
         let mean_gap = (hi - lo) / (k as u64 - 1);
         // Cap below the top bit so next_power_of_two cannot wrap to zero.
         let w = mean_gap.saturating_mul(2).clamp(1, 1 << 62);
@@ -440,21 +496,15 @@ impl<E> CalendarFel<E> {
     /// Rebuilds the bucket array at the size/width appropriate for the
     /// current population, dropping tombstones for good along the way, and
     /// rewinds the scan cursor to the earliest live entry.
-    fn rehash(&mut self, tombs: &mut SeqSet) {
-        let mut entries: Vec<(u64, u64, u32)> = Vec::with_capacity(self.len);
+    fn rehash(&mut self) {
+        let mut entries: Vec<Entry> = Vec::with_capacity(self.len);
         for bucket in &mut self.buckets {
-            for i in 0..bucket.times.len() {
-                entries.push((bucket.times[i], bucket.seqs[i], bucket.slots[i]));
-            }
-            bucket.times.clear();
-            bucket.seqs.clear();
-            bucket.slots.clear();
+            entries.append(bucket);
         }
         // Every entry is in hand: purge tombstones wholesale.
-        entries.retain(|&(_, seq, slot)| {
-            if tombs.remove(&seq) {
-                self.slab[slot as usize] = None;
-                self.free.push(slot);
+        entries.retain(|e| {
+            if self.slab[e.slot as usize].event.is_none() {
+                self.free.push(e.slot);
                 false
             } else {
                 true
@@ -466,14 +516,15 @@ impl<E> CalendarFel<E> {
         }
         let target = Self::target_buckets(self.len);
         if target != self.buckets.len() {
-            self.buckets = vec![Bucket::default(); target];
+            self.buckets = vec![Vec::new(); target];
             self.mask = target - 1;
         }
+        self.heads.clear();
+        self.heads.resize(target, EMPTY_HEAD);
         let mut floor: Option<u64> = None;
-        for &(time, seq, slot) in &entries {
-            let b = self.bucket_of(time);
-            self.buckets[b].push(time, seq, slot);
-            floor = Some(floor.map_or(time, |f| f.min(time)));
+        for &e in &entries {
+            self.insert(e);
+            floor = Some(floor.map_or(e.time, |f| f.min(e.time)));
         }
         // Rewind the cursor to the earliest live entry (or keep the old
         // floor when empty — pushes at or above it still land ahead of the
@@ -485,90 +536,87 @@ impl<E> CalendarFel<E> {
         self.direct_streak = 0;
     }
 
-    fn maybe_resize(&mut self, tombs: &mut SeqSet) {
+    fn maybe_resize(&mut self) {
         let n = self.buckets.len();
         if self.len > n * GROW_OCCUPANCY || (n > MIN_BUCKETS && self.len < n / 2) {
-            self.rehash(tombs);
+            self.rehash();
         }
     }
 
-    /// Positions the scan cursor on the minimum live entry and returns its
-    /// `(bucket, index)`. Tombstoned entries that surface as the minimum
-    /// are purged and the search continues. Returns `None` when the queue
-    /// holds no entries at all.
-    fn locate(&mut self, tombs: &mut SeqSet) -> Option<(usize, usize)> {
+    /// Positions the scan cursor on the minimum live entry and returns the
+    /// bucket whose first entry it is. Tombstoned entries that surface as
+    /// the minimum are purged and the search continues. Returns `None`
+    /// when the queue holds no entries at all.
+    fn locate(&mut self) -> Option<usize> {
         loop {
             if self.len == 0 {
                 return None;
             }
             // Scan one calendar year starting at the cursor. Bucket windows
             // below `scan_floor` hold nothing (invariant), so the first
-            // bucket with an entry inside the year's window holds the
+            // bucket whose head lies inside the year's window holds the
             // global minimum.
             let mut b = self.scan_bucket;
             let mut top = self.scan_top;
-            let mut hit: Option<(usize, usize)> = None;
-            for _ in 0..self.buckets.len() {
-                if let Some(i) = self.buckets[b].min_eligible(top) {
-                    hit = Some((b, i));
+            let mut hit = None;
+            for _ in 0..self.heads.len() {
+                if self.heads[b] < top {
+                    hit = Some(b);
                     break;
                 }
                 b = (b + 1) & self.mask;
                 top = top.saturating_add(self.width);
             }
-            let (b, i) = match hit {
-                Some((b, i)) => {
+            let b = match hit {
+                Some(b) => {
                     self.scan_bucket = b;
                     self.scan_top = top;
                     self.direct_streak = 0;
-                    (b, i)
+                    b
                 }
                 None => {
                     // A whole year of buckets held nothing eligible: the
                     // next event is over a year ahead. Find it directly and
-                    // jump the cursor there.
-                    let mut best: Option<(u64, u64, usize, usize)> = None;
-                    for (bi, bucket) in self.buckets.iter().enumerate() {
-                        if let Some(i) = bucket.min_any() {
-                            let cand = (bucket.times[i], bucket.seqs[i], bi, i);
-                            if best.is_none_or(|x| (cand.0, cand.1) < (x.0, x.1)) {
-                                best = Some(cand);
-                            }
-                        }
-                    }
-                    let (t, _seq, bi, i) = best.expect("len > 0 but no entry found");
-                    self.scan_bucket = bi;
-                    self.scan_top = self.top_of(t);
+                    // jump the cursor there. Equal times share a bucket, so
+                    // the heads' times alone pick the minimum.
+                    let (time, b) = self
+                        .buckets
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(b, bucket)| bucket.first().map(|e| (e.time, b)))
+                        .min()
+                        .expect("len > 0 but no entry found");
+                    self.scan_bucket = b;
+                    self.scan_top = self.top_of(time);
                     self.direct_streak += 1;
-                    (bi, i)
+                    b
                 }
             };
-            let time = self.buckets[b].times[i];
-            let seq = self.buckets[b].seqs[i];
             // The located entry is the global minimum (live or tombstoned),
             // so every remaining entry is at or above its time: raise the
             // floor *before* the tombstone check. Raising it only on live
             // hits would leave a purge-advanced cursor with a stale floor —
             // a later push between floor and cursor would not rewind and
             // the scan would miss it.
-            self.scan_floor = time;
-            if tombs.remove(&seq) {
-                let slot = self.buckets[b].swap_remove(i);
-                self.release_slot(slot);
+            let head = self.buckets[b][0];
+            self.scan_floor = head.time;
+            if self.slab[head.slot as usize].event.is_none() {
+                self.remove_head(b);
+                self.free.push(head.slot);
                 self.len -= 1;
                 // Purges shrink the population too: without this check a
                 // heavily-cancelled queue would drain to empty while the
                 // bucket array stayed at its high-water size.
-                self.maybe_resize(tombs);
+                self.maybe_resize();
                 continue;
             }
             if self.direct_streak >= DIRECT_STREAK_REHASH {
                 // The width no longer matches the event spacing (every pop
                 // is falling through to a full search): re-sample it.
-                self.rehash(tombs);
+                self.rehash();
                 continue;
             }
-            return Some((b, i));
+            return Some(b);
         }
     }
 }
@@ -578,10 +626,12 @@ impl<E> Fel<E> for CalendarFel<E> {
         CalendarFel {
             slab: Vec::new(),
             free: Vec::new(),
-            buckets: vec![Bucket::default(); MIN_BUCKETS],
+            buckets: vec![Vec::new(); MIN_BUCKETS],
+            heads: vec![EMPTY_HEAD; MIN_BUCKETS],
             mask: MIN_BUCKETS - 1,
             width: Self::INITIAL_WIDTH,
             len: 0,
+            live: 0,
             scan_bucket: 0,
             scan_top: Self::INITIAL_WIDTH,
             scan_floor: 0,
@@ -589,52 +639,69 @@ impl<E> Fel<E> for CalendarFel<E> {
         }
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn live(&self) -> usize {
+        self.live
     }
 
-    fn push(&mut self, time: SimTime, seq: u64, event: E, tombs: &mut SeqSet) {
+    fn push(&mut self, time: SimTime, seq: u64, event: E) -> u32 {
         let t = time.as_nanos();
-        let slot = self.alloc_slot(event);
-        let b = self.bucket_of(t);
-        self.buckets[b].push(t, seq, slot);
+        let slot = self.alloc_slot(seq, event);
+        self.insert(Entry { time: t, slot });
         self.len += 1;
+        self.live += 1;
         if t < self.scan_floor {
             // The cursor had advanced past this instant (e.g. a peek jumped
             // a sparse stretch): rewind it so the scan cannot miss the new
             // entry.
             self.scan_floor = t;
-            self.scan_bucket = b;
+            self.scan_bucket = self.bucket_of(t);
             self.scan_top = self.top_of(t);
         }
-        self.maybe_resize(tombs);
+        self.maybe_resize();
+        slot
     }
 
-    fn pop_min(&mut self, tombs: &mut SeqSet) -> Option<(SimTime, u64, E)> {
-        let (b, i) = self.locate(tombs)?;
-        let time = self.buckets[b].times[i];
-        let seq = self.buckets[b].seqs[i];
-        let slot = self.buckets[b].swap_remove(i);
-        let event = self.release_slot(slot);
+    fn cancel(&mut self, seq: u64, slot: u32) -> bool {
+        match self.slab.get_mut(slot as usize) {
+            Some(entry) if entry.seq == seq && entry.event.is_some() => {
+                entry.event = None;
+                self.live -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, u64, E)> {
+        let b = self.locate()?;
+        if self.heads[b] > limit.as_nanos() {
+            return None;
+        }
+        let head = self.remove_head(b);
+        let slot = &mut self.slab[head.slot as usize];
+        let event = slot.event.take().expect("located entry is live");
+        let seq = slot.seq;
+        self.free.push(head.slot);
         self.len -= 1;
-        self.maybe_resize(tombs);
-        Some((SimTime::from_nanos(time), seq, event))
+        self.live -= 1;
+        self.maybe_resize();
+        Some((SimTime::from_nanos(head.time), seq, event))
     }
 
-    fn peek_min_time(&mut self, tombs: &mut SeqSet) -> Option<SimTime> {
-        self.locate(tombs)
-            .map(|(b, i)| SimTime::from_nanos(self.buckets[b].times[i]))
+    fn peek_min_time(&mut self) -> Option<SimTime> {
+        self.locate().map(|b| SimTime::from_nanos(self.heads[b]))
     }
 
     fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.slab.capacity() * std::mem::size_of::<Option<E>>()
+            + self.slab.capacity() * std::mem::size_of::<Slot<E>>()
             + self.free.capacity() * std::mem::size_of::<u32>()
-            + self.buckets.capacity() * std::mem::size_of::<Bucket>()
+            + self.buckets.capacity() * std::mem::size_of::<Vec<Entry>>()
+            + self.heads.capacity() * std::mem::size_of::<u64>()
             + self
                 .buckets
                 .iter()
-                .map(Bucket::capacity_bytes)
+                .map(|b| b.capacity() * std::mem::size_of::<Entry>())
                 .sum::<usize>()
     }
 }
@@ -647,21 +714,16 @@ impl<E> Fel<E> for CalendarFel<E> {
 /// differential-testing reference (`HeapScheduler` alias). Both yield the
 /// identical `(time, seq)` total order.
 ///
-/// Cancellation uses lazy deletion: cancelled keys go into a tombstone set
-/// and the entry is discarded when it surfaces at the front of the queue
-/// (the calendar queue additionally purges tombstones while resizing). This
-/// keeps `cancel` O(1).
-/// Cloning a scheduler (possible whenever the event type is `Clone`) deep-
-/// copies the queue, clock, and tombstone sets, so a clone is an independent
+/// Cancellation is O(1) and lazy: the FEL empties the cancelled entry's
+/// slot in place and discards the leftover entry when it surfaces (see the
+/// module docs). Cloning a scheduler (possible whenever the event type is
+/// `Clone`) deep-copies the queue and clock, so a clone is an independent
 /// resumable snapshot — the substrate of [`crate::checkpoint`].
 #[derive(Debug, Clone)]
 pub struct Scheduler<E, F: Fel<E> = CalendarFel<E>> {
     now: SimTime,
     fel: F,
     next_seq: u64,
-    /// Seqs scheduled but neither fired nor cancelled yet.
-    pending_keys: SeqSet,
-    cancelled: SeqSet,
     scheduled_total: u64,
     executed_total: u64,
     cancelled_total: u64,
@@ -685,8 +747,6 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
             now: SimTime::ZERO,
             fel: F::new(),
             next_seq: 0,
-            pending_keys: SeqSet::default(),
-            cancelled: SeqSet::default(),
             scheduled_total: 0,
             executed_total: 0,
             cancelled_total: 0,
@@ -723,9 +783,8 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
         );
         self.next_seq += 1;
         self.scheduled_total += 1;
-        self.pending_keys.insert(seq);
-        self.fel.push(at, seq, event, &mut self.cancelled);
-        EventKey(seq)
+        let slot = self.fel.push(at, seq, event);
+        EventKey { seq, slot }
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -751,21 +810,17 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
     ///
     /// # Panics
     /// Panics if `at` is in the past, if `sender` does not fit in the
-    /// remote-lane sender field, or (debug) on send-counter overflow.
+    /// remote-lane sender field, or if `send_seq` overflows the send-counter
+    /// field. All three checks hold in release builds.
     pub fn schedule_remote(&mut self, at: SimTime, sender: usize, send_seq: u64, event: E) {
         assert!(
             at >= self.now,
             "remote delivery violates causality ({at} < now {})",
             self.now
         );
-        assert!(
-            (sender as u64) <= MAX_SENDER,
-            "sender partition id {sender} exceeds remote-lane capacity"
-        );
         let seq = remote_seq(sender, send_seq);
         self.scheduled_total += 1;
-        self.pending_keys.insert(seq);
-        self.fel.push(at, seq, event, &mut self.cancelled);
+        self.fel.push(at, seq, event);
     }
 
     /// Inserts a batch of remote deliveries, all from the same `sender`.
@@ -786,25 +841,43 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
     /// Cancels a previously scheduled event. Returns `true` if the event was
     /// still pending, `false` if it already fired or was already cancelled.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        if !self.pending_keys.remove(&key.0) {
-            return false; // already fired, already cancelled, or never issued
+        if !self.fel.cancel(key.seq, key.slot) {
+            return false;
         }
-        self.cancelled.insert(key.0);
         self.cancelled_total += 1;
         true
     }
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.fel.peek_min_time(&mut self.cancelled)
+        self.fel.peek_min_time()
     }
 
     /// Removes and returns the earliest pending event, advancing the clock
     /// to its timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (time, seq, event) = self.fel.pop_min(&mut self.cancelled)?;
-        debug_assert!(time >= self.now, "FEL yielded an event from the past");
-        self.pending_keys.remove(&seq);
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Removes and returns the earliest pending event if it is stamped at
+    /// or before `limit`, advancing the clock to its timestamp. Returns
+    /// `None`, leaving the event queued, when the queue is empty or its
+    /// earliest event lies after `limit`.
+    ///
+    /// Run loops use this instead of `peek_time` followed by `pop`: it
+    /// searches the queue once per executed event instead of twice.
+    ///
+    /// # Panics
+    /// Panics if the FEL yields an event stamped before the current clock.
+    /// The check holds in release builds: a broken queue must not run the
+    /// clock backwards silently.
+    pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        let (time, _seq, event) = self.fel.pop_until(limit)?;
+        assert!(
+            time >= self.now,
+            "FEL yielded an event from the past ({time} < now {})",
+            self.now
+        );
         self.now = time;
         self.executed_total += 1;
         Some((time, event))
@@ -813,12 +886,12 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
     /// Number of events currently pending. Exact: tombstoned (cancelled but
     /// not yet purged) entries are not counted.
     pub fn pending(&self) -> usize {
-        self.pending_keys.len()
+        self.fel.live()
     }
 
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.pending_keys.is_empty()
+        self.pending() == 0
     }
 
     /// Total events ever scheduled.
@@ -837,18 +910,13 @@ impl<E, F: Fel<E>> Scheduler<E, F> {
     }
 
     /// Estimated resident bytes of the FEL and its bookkeeping (allocated
-    /// capacity, not just live entries): the queue structure itself plus
-    /// the pending-key and tombstone sets. The per-slot constant for the
-    /// hash sets approximates hashbrown's 8-byte key + control byte at its
-    /// steady-state load factor.
+    /// capacity, not just live entries; see [`Fel::approx_bytes`]).
     ///
     /// The estimate is computed from container capacities, so for a fixed
     /// operation sequence it is deterministic across hosts — which is what
     /// lets the `pdes_scaling` bytes/host gate use a committed baseline.
     pub fn fel_bytes(&self) -> usize {
-        const HASH_SLOT_BYTES: usize = 10;
         self.fel.approx_bytes()
-            + (self.pending_keys.capacity() + self.cancelled.capacity()) * HASH_SLOT_BYTES
     }
 
     /// Forces the clock forward to `t` without executing anything.
@@ -930,7 +998,11 @@ mod tests {
     #[test]
     fn cancel_unknown_key_is_noop() {
         let mut s: Scheduler<&str> = Scheduler::new();
-        assert!(!s.cancel(EventKey(42)));
+        assert!(!s.cancel(EventKey { seq: 42, slot: 0 }));
+        assert!(
+            !s.cancel(EventKey { seq: 42, slot: 7 }),
+            "slot beyond the slab"
+        );
     }
 
     #[test]
@@ -962,6 +1034,143 @@ mod tests {
         s.pop();
         assert_eq!(s.pending(), 0);
         assert!(s.is_empty());
+    }
+
+    // ---- slot-addressed cancellation, on both backends ----
+
+    /// Peek positions the calendar cursor on the head; cancelling that head
+    /// afterwards must not let the next pop return it.
+    fn peek_cancel_head_pop<F: Fel<&'static str>>() {
+        let mut s: Scheduler<&str, F> = Scheduler::new();
+        let head = s.schedule_at(SimTime::from_nanos(10), "head");
+        s.schedule_at(SimTime::from_nanos(20), "next");
+        assert_eq!(s.pending(), 2);
+        assert_eq!(s.peek_time(), Some(SimTime::from_nanos(10)));
+        assert!(s.cancel(head));
+        assert_eq!(s.pending(), 1);
+        assert_eq!(s.pop(), Some((SimTime::from_nanos(20), "next")));
+        assert_eq!(s.pending(), 0);
+        assert!(s.pop().is_none());
+    }
+
+    /// Peek positions the cursor; an earlier push afterwards must still pop
+    /// first.
+    fn peek_push_earlier_pop<F: Fel<&'static str>>() {
+        let mut s: Scheduler<&str, F> = Scheduler::new();
+        s.schedule_at(SimTime::from_nanos(500), "late");
+        assert_eq!(s.peek_time(), Some(SimTime::from_nanos(500)));
+        s.schedule_at(SimTime::from_nanos(100), "early");
+        assert_eq!(s.pending(), 2);
+        assert_eq!(s.pop(), Some((SimTime::from_nanos(100), "early")));
+        assert_eq!(s.pending(), 1);
+        assert_eq!(s.pop(), Some((SimTime::from_nanos(500), "late")));
+        assert_eq!(s.pending(), 0);
+    }
+
+    /// A key whose event fired is stale even after its slot is reused: the
+    /// cancel reports `false` and the slot's new event still fires. A
+    /// second cancel of a cancelled key reports `false` as well.
+    fn stale_key_after_slot_reuse<F: Fel<&'static str>>() {
+        let mut s: Scheduler<&str, F> = Scheduler::new();
+        let fired = s.schedule_at(SimTime::from_nanos(10), "fired");
+        assert_eq!(s.pop(), Some((SimTime::from_nanos(10), "fired")));
+        assert_eq!(s.pending(), 0);
+        let reused = s.schedule_at(SimTime::from_nanos(20), "reused");
+        assert_eq!(reused.slot, fired.slot, "the freed slot is reused");
+        assert_eq!(s.pending(), 1);
+        assert!(!s.cancel(fired), "stale key must not cancel the new owner");
+        assert_eq!(s.pending(), 1);
+        assert_eq!(s.cancelled_total(), 0);
+        let doomed = s.schedule_at(SimTime::from_nanos(30), "doomed");
+        assert_eq!(s.pending(), 2);
+        assert!(s.cancel(doomed));
+        assert_eq!(s.pending(), 1);
+        assert!(!s.cancel(doomed), "second cancel reports false");
+        assert_eq!(s.pending(), 1);
+        assert_eq!(s.cancelled_total(), 1);
+        assert_eq!(s.pop(), Some((SimTime::from_nanos(20), "reused")));
+        assert_eq!(s.pending(), 0);
+        assert!(s.pop().is_none());
+        assert_eq!(
+            s.scheduled_total(),
+            s.executed_total() + s.cancelled_total()
+        );
+    }
+
+    /// A key cancelled while its tombstone was purged and its slot reused
+    /// stays stale too.
+    fn stale_key_after_purge_and_reuse<F: Fel<&'static str>>() {
+        let mut s: Scheduler<&str, F> = Scheduler::new();
+        let dead = s.schedule_at(SimTime::from_nanos(10), "dead");
+        s.schedule_at(SimTime::from_nanos(20), "alive");
+        assert!(s.cancel(dead));
+        // Popping purges the tombstone and frees its slot...
+        assert_eq!(s.pop(), Some((SimTime::from_nanos(20), "alive")));
+        // ...which the next push takes over.
+        let heir = s.schedule_at(SimTime::from_nanos(30), "heir");
+        assert!(!s.cancel(dead));
+        assert_eq!(s.pending(), 1);
+        assert!(s.cancel(heir));
+        assert_eq!(s.pending(), 0);
+        assert!(s.pop().is_none());
+    }
+
+    /// `pop_until` pops only due events and leaves the rest queued, and a
+    /// cancelled head does not hide a due event behind it.
+    fn pop_until_respects_limit<F: Fel<&'static str>>() {
+        let mut s: Scheduler<&str, F> = Scheduler::new();
+        let dead = s.schedule_at(SimTime::from_nanos(5), "dead");
+        s.schedule_at(SimTime::from_nanos(10), "due");
+        s.schedule_at(SimTime::from_nanos(11), "later");
+        s.cancel(dead);
+        assert_eq!(
+            s.pop_until(SimTime::from_nanos(10)),
+            Some((SimTime::from_nanos(10), "due"))
+        );
+        assert_eq!(s.pop_until(SimTime::from_nanos(10)), None);
+        assert_eq!(s.now(), SimTime::from_nanos(10));
+        assert_eq!(s.pending(), 1);
+        assert_eq!(
+            s.pop_until(SimTime::from_nanos(11)),
+            Some((SimTime::from_nanos(11), "later"))
+        );
+        assert_eq!(s.pop_until(SimTime::MAX), None);
+    }
+
+    #[test]
+    fn calendar_cancellation_semantics() {
+        peek_cancel_head_pop::<CalendarFel<_>>();
+        peek_push_earlier_pop::<CalendarFel<_>>();
+        stale_key_after_slot_reuse::<CalendarFel<_>>();
+        stale_key_after_purge_and_reuse::<CalendarFel<_>>();
+        pop_until_respects_limit::<CalendarFel<_>>();
+    }
+
+    #[test]
+    fn heap_cancellation_semantics() {
+        peek_cancel_head_pop::<BinaryHeapFel<_>>();
+        peek_push_earlier_pop::<BinaryHeapFel<_>>();
+        stale_key_after_slot_reuse::<BinaryHeapFel<_>>();
+        stale_key_after_purge_and_reuse::<BinaryHeapFel<_>>();
+        pop_until_respects_limit::<BinaryHeapFel<_>>();
+    }
+
+    /// The remote-lane field checks hold in release builds: an overflowing
+    /// send counter would bleed into the sender field and corrupt tie-break
+    /// order silently.
+    #[test]
+    fn remote_send_seq_overflow_panics() {
+        let mut s: Scheduler<()> = Scheduler::new();
+        s.schedule_remote(SimTime::from_nanos(1), 1, SEND_SEQ_MASK, ());
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.schedule_remote(SimTime::from_nanos(1), 1, SEND_SEQ_MASK + 1, ());
+        }));
+        assert!(r.is_err(), "send-seq overflow must panic");
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.schedule_remote(SimTime::from_nanos(1), MAX_SENDER as usize + 1, 0, ());
+        }));
+        assert!(r.is_err(), "sender overflow must panic");
+        assert_eq!(s.pending(), 1);
     }
 
     /// Regression: the sequence-space exhaustion check must hold in release

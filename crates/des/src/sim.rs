@@ -43,7 +43,7 @@ pub enum StopReason {
 #[derive(Debug)]
 struct KernelMetrics {
     events: Counter,
-    heap_depth: Gauge,
+    fel_depth: Gauge,
     fel_bytes: Gauge,
     batched_events: u64,
     batched_depth: i64,
@@ -55,7 +55,7 @@ impl KernelMetrics {
     fn new() -> Self {
         KernelMetrics {
             events: elephant_obs::counter("des/kernel/events_executed", ""),
-            heap_depth: elephant_obs::gauge("des/kernel/heap_depth_peak", ""),
+            fel_depth: elephant_obs::gauge("des/kernel/fel_depth_peak", ""),
             fel_bytes: elephant_obs::gauge("des/kernel/fel_bytes_peak", ""),
             batched_events: 0,
             batched_depth: 0,
@@ -93,7 +93,7 @@ impl KernelMetrics {
     fn flush(&mut self) {
         if self.batched_events > 0 {
             self.events.add(self.batched_events);
-            self.heap_depth.record_max(self.batched_depth);
+            self.fel_depth.record_max(self.batched_depth);
             self.batched_events = 0;
             self.batched_depth = 0;
         }
@@ -146,24 +146,33 @@ impl<W: World> Simulator<W> {
 
     /// Executes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        match self.sched.pop() {
-            Some((_, ev)) => {
-                if self.metrics.note(self.sched.pending() + 1) {
-                    self.metrics.record_fel_bytes(self.sched.fel_bytes());
-                }
-                self.world.handle(ev, &mut self.sched);
-                true
-            }
-            None => false,
+        self.step_until(SimTime::MAX)
+    }
+
+    /// Executes the earliest event if it is stamped at or before `limit`.
+    /// Returns `false`, leaving the queue untouched, otherwise.
+    fn step_until(&mut self, limit: SimTime) -> bool {
+        let Some((_, ev)) = self.sched.pop_until(limit) else {
+            return false;
+        };
+        if self.metrics.note(self.sched.pending() + 1) {
+            self.metrics.record_fel_bytes(self.sched.fel_bytes());
         }
+        self.world.handle(ev, &mut self.sched);
+        true
+    }
+
+    /// Publishes the run loop's metrics on its way out.
+    fn stop(&mut self, reason: StopReason) -> StopReason {
+        self.metrics.flush();
+        self.metrics.record_fel_bytes(self.sched.fel_bytes());
+        reason
     }
 
     /// Runs until the event list drains.
     pub fn run(&mut self) -> StopReason {
         while self.step() {}
-        self.metrics.flush();
-        self.metrics.record_fel_bytes(self.sched.fel_bytes());
-        StopReason::Exhausted
+        self.stop(StopReason::Exhausted)
     }
 
     /// Runs until the event list drains or the clock passes `horizon`.
@@ -172,28 +181,12 @@ impl<W: World> Simulator<W> {
     /// strictly after it stays queued and the clock is left parked at
     /// `horizon` so a subsequent call can resume seamlessly.
     pub fn run_until(&mut self, horizon: SimTime) -> StopReason {
-        loop {
-            match self.sched.peek_time() {
-                None => {
-                    self.metrics.flush();
-                    self.metrics.record_fel_bytes(self.sched.fel_bytes());
-                    return StopReason::Exhausted;
-                }
-                Some(t) if t > horizon => {
-                    self.sched.advance_clock(horizon.max(self.sched.now()));
-                    self.metrics.flush();
-                    self.metrics.record_fel_bytes(self.sched.fel_bytes());
-                    return StopReason::HorizonReached;
-                }
-                Some(_) => {
-                    let (_, ev) = self.sched.pop().expect("peeked event vanished");
-                    if self.metrics.note(self.sched.pending() + 1) {
-                        self.metrics.record_fel_bytes(self.sched.fel_bytes());
-                    }
-                    self.world.handle(ev, &mut self.sched);
-                }
-            }
+        while self.step_until(horizon) {}
+        if self.sched.is_empty() {
+            return self.stop(StopReason::Exhausted);
         }
+        self.sched.advance_clock(horizon.max(self.sched.now()));
+        self.stop(StopReason::HorizonReached)
     }
 
     /// Runs until the event list drains or `budget` events have executed,
@@ -202,14 +195,10 @@ impl<W: World> Simulator<W> {
     pub fn run_events(&mut self, budget: u64) -> StopReason {
         for _ in 0..budget {
             if !self.step() {
-                self.metrics.flush();
-                self.metrics.record_fel_bytes(self.sched.fel_bytes());
-                return StopReason::Exhausted;
+                return self.stop(StopReason::Exhausted);
             }
         }
-        self.metrics.flush();
-        self.metrics.record_fel_bytes(self.sched.fel_bytes());
-        StopReason::BudgetSpent
+        self.stop(StopReason::BudgetSpent)
     }
 
     /// Consumes the simulator and returns the world, e.g. to extract final

@@ -35,8 +35,14 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 enum FelOp {
     Schedule(u64),
     ScheduleNow,
-    Remote { sender: usize, offset: u64 },
+    Remote {
+        sender: usize,
+        offset: u64,
+    },
     CancelNth(usize),
+    /// Re-cancel the key of a recently fired event: its slot has most
+    /// likely been reused by a newer event, which must survive.
+    CancelFired(usize),
     Peek,
     Pop,
 }
@@ -55,6 +61,7 @@ fn arb_fel_ops() -> impl Strategy<Value = Vec<FelOp>> {
             (0usize..4, remote_offset)
                 .prop_map(|(sender, offset)| FelOp::Remote { sender, offset }),
             (0usize..96).prop_map(FelOp::CancelNth),
+            (0usize..4).prop_map(FelOp::CancelFired),
             Just(FelOp::Peek),
             Just(FelOp::Pop),
         ],
@@ -142,15 +149,18 @@ proptest! {
     /// Differential test of the calendar-queue FEL against the legacy
     /// binary heap: identical op sequences — local schedules at mixed
     /// offsets (including zero-offset `schedule_now` bursts), remote-lane
-    /// deliveries from several senders, cancellations, pops, and peeks —
-    /// must produce bit-identical pop streams, peeks, pending counts, and
-    /// lifetime counters. This is the drop-in proof that swapping the FEL
+    /// deliveries from several senders, cancellations (including stale keys
+    /// whose slots were reused), pops, and peeks — must produce
+    /// bit-identical pop streams, peeks, pending counts, and lifetime
+    /// counters. This is the drop-in proof that swapping the FEL
     /// backend cannot change a simulation.
     #[test]
     fn calendar_queue_matches_binary_heap(ops in arb_fel_ops()) {
         let mut cal: Scheduler<u64> = Scheduler::new();
         let mut heap: HeapScheduler<u64> = Scheduler::new();
         let mut keys = Vec::new(); // parallel (cal_key, heap_key)
+        let mut key_of = std::collections::HashMap::new(); // payload -> keys
+        let mut fired = Vec::new(); // keys of popped local events, in order
         let mut send_seqs = [0u64; 4]; // per-sender remote counters
         let mut payload = 0u64;
 
@@ -163,10 +173,12 @@ proptest! {
                         cal.schedule_at(t, payload),
                         heap.schedule_at(t, payload),
                     ));
+                    key_of.insert(payload, keys.len() - 1);
                 }
                 FelOp::ScheduleNow => {
                     payload += 1;
                     keys.push((cal.schedule_now(payload), heap.schedule_now(payload)));
+                    key_of.insert(payload, keys.len() - 1);
                 }
                 FelOp::Remote { sender, offset } => {
                     payload += 1;
@@ -181,11 +193,22 @@ proptest! {
                         prop_assert_eq!(cal.cancel(ck), heap.cancel(hk));
                     }
                 }
+                FelOp::CancelFired(n) => {
+                    if let Some(&i) = fired.iter().rev().nth(n) {
+                        let (ck, hk) = keys[i];
+                        prop_assert!(!cal.cancel(ck), "stale calendar key cancelled");
+                        prop_assert!(!heap.cancel(hk), "stale heap key cancelled");
+                    }
+                }
                 FelOp::Peek => {
                     prop_assert_eq!(cal.peek_time(), heap.peek_time());
                 }
                 FelOp::Pop => {
-                    prop_assert_eq!(cal.pop(), heap.pop());
+                    let popped = cal.pop();
+                    prop_assert_eq!(popped, heap.pop());
+                    if let Some(&i) = popped.and_then(|(_, p)| key_of.get(&p)) {
+                        fired.push(i);
+                    }
                 }
             }
             prop_assert_eq!(cal.pending(), heap.pending());
@@ -231,7 +254,7 @@ proptest! {
                     send_seqs[sender] += 1;
                     s.schedule_remote(t, sender, seq, payload);
                 }
-                FelOp::CancelNth(n) => {
+                FelOp::CancelNth(n) | FelOp::CancelFired(n) => {
                     if let Some(&k) = keys.get(n % keys.len().max(1)) {
                         s.cancel(k);
                     }
