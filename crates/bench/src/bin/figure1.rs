@@ -27,7 +27,8 @@
 //! `BENCH_figure1.json` (events/sec, per-partition barrier-wait share,
 //! profiler tree).
 
-use elephant_bench::{emit_report, fmt_f, partition_rows, print_table, run_pdes, Args};
+use elephant_bench::{emit_report, fmt_f, print_table, Args};
+use elephant_core::{execute, Exec, PdesSpec, RunPlan, WorldSpec};
 use elephant_net::{ClosParams, NetConfig, RttScope};
 use elephant_obs::RunReport;
 use elephant_trace::{generate, write_csv, LoadProfile, Locality, SizeDist, WorkloadConfig};
@@ -109,8 +110,11 @@ fn main() {
             // LPs scale with the module graph, as OMNeT++'s partitioning
             // does; more machines spread the same LPs wider.
             let partitions = ((n as usize / 4).max(2) * m).min(n as usize);
-            let out = run_pdes(params, &flows, horizon, partitions, m, ENVELOPE);
-            let rate = out.sim_seconds_per_second(horizon);
+            let truth = WorldSpec::Truth { capture: None };
+            let plan = RunPlan::new(params, NetConfig::default(), &flows, horizon, truth)
+                .with_exec(Exec::Pdes(PdesSpec::new(partitions, m, ENVELOPE)));
+            let out = execute(plan).unwrap_or_else(|e| panic!("{e}"));
+            let rate = out.meta.sim_seconds_per_second();
             report.scalar(format!("pdes_sim_s_per_s_n{n}_m{m}"), rate);
             pdes_rates.push((m, rate, out));
         }
@@ -118,7 +122,7 @@ fn main() {
         // breakdown worth keeping (the paper's worst case).
         if n == *sizes.last().expect("nonempty sizes") {
             report.set_run(meta.wall.as_secs_f64(), meta.events, meta.sim_seconds);
-            report.partitions = partition_rows(&pdes_rates[2].2.report);
+            report.partitions = pdes_rates[2].2.partition_rows();
         }
 
         rows.push(vec![

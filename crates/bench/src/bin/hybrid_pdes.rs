@@ -14,12 +14,12 @@
 //! and messages *per event* for both partitionings. On multi-core hosts
 //! the hybrid's lower coupling converts directly into parallel speedup.
 
-use elephant_bench::{
-    emit_report, fmt_f, fmt_secs, partition_rows, print_table, run_hybrid_pdes, run_pdes,
-    train_default_model, Args,
+use elephant_bench::{emit_report, fmt_f, fmt_secs, print_table, train_default_model, Args};
+use elephant_core::{
+    execute, DropPolicy, Exec, LearnedOracle, PdesSpec, RunOutcome, RunPlan, TrainingOptions,
+    WorldSpec,
 };
-use elephant_core::TrainingOptions;
-use elephant_net::ClosParams;
+use elephant_net::{ClosParams, ClusterOracle, FlowSpec, NetConfig};
 use elephant_obs::RunReport;
 use elephant_trace::{filter_touching_cluster, generate, write_csv, WorkloadConfig};
 
@@ -59,18 +59,36 @@ fn main() {
         // Full-fidelity PDES: one partition per cluster (racks split), on
         // as many "machines".
         let partitions = n as usize;
-        let full = run_pdes(params, &flows, horizon, partitions, partitions, 64);
-        let full_coupling =
-            full.report.remote_messages as f64 / full.report.events_executed.max(1) as f64;
+        let exec = Exec::Pdes(PdesSpec::new(partitions, partitions, 64));
+        let run = |flows: &[FlowSpec], world| {
+            let plan = RunPlan::new(params, NetConfig::default(), flows, horizon, world);
+            execute(plan.with_exec(exec.clone())).unwrap_or_else(|e| panic!("{e}"))
+        };
+        let full = run(&flows, WorldSpec::Truth { capture: None });
+        let full_coupling = coupling(&full);
 
         // Hybrid PDES: same machine count, oracle-boundary partitioning,
-        // elided workload.
+        // elided workload, one oracle instance per partition around the
+        // shared weights.
         let elided = filter_touching_cluster(&flows, 0);
-        let (hyb, oracle_pkts) = run_hybrid_pdes(
-            params, 0, &model, &elided, horizon, partitions, 64, args.seed,
+        let oracle = Box::new(|p: Option<usize>| -> Box<dyn ClusterOracle + Send> {
+            let seed = args.seed.wrapping_add(p.unwrap_or(0) as u64);
+            Box::new(LearnedOracle::new(
+                model.clone(),
+                params,
+                DropPolicy::Sample,
+                seed,
+            ))
+        });
+        let hyb = run(
+            &elided,
+            WorldSpec::Hybrid {
+                full_cluster: 0,
+                oracle,
+            },
         );
-        let hyb_coupling =
-            hyb.report.remote_messages as f64 / hyb.report.events_executed.max(1) as f64;
+        let oracle_pkts = hyb.oracle_deliveries();
+        let hyb_coupling = coupling(&hyb);
 
         report.scalar(format!("full_msgs_per_event_n{n}"), full_coupling);
         report.scalar(format!("hybrid_msgs_per_event_n{n}"), hyb_coupling);
@@ -80,31 +98,31 @@ fn main() {
         // synchronizing.
         if n == *cluster_counts.last().expect("nonempty cluster counts") {
             report.set_run(
-                hyb.wall.as_secs_f64(),
-                hyb.report.events_executed,
+                hyb.meta.wall.as_secs_f64(),
+                hyb.events(),
                 horizon.as_secs_f64(),
             );
-            report.partitions = partition_rows(&hyb.report);
+            report.partitions = hyb.partition_rows();
         }
 
         rows.push(vec![
             n.to_string(),
-            full.report.events_executed.to_string(),
+            full.events().to_string(),
             fmt_f(full_coupling),
-            fmt_secs(full.wall),
-            hyb.report.events_executed.to_string(),
+            fmt_secs(full.meta.wall),
+            hyb.events().to_string(),
             fmt_f(hyb_coupling),
-            fmt_secs(hyb.wall),
+            fmt_secs(hyb.meta.wall),
             oracle_pkts.to_string(),
         ]);
         csv.push(vec![
             n.to_string(),
-            full.report.events_executed.to_string(),
+            full.events().to_string(),
             format!("{full_coupling}"),
-            format!("{}", full.wall.as_secs_f64()),
-            hyb.report.events_executed.to_string(),
+            format!("{}", full.meta.wall.as_secs_f64()),
+            hyb.events().to_string(),
             format!("{hyb_coupling}"),
-            format!("{}", hyb.wall.as_secs_f64()),
+            format!("{}", hyb.meta.wall.as_secs_f64()),
         ]);
         eprintln!("  {n} clusters done");
     }
@@ -147,4 +165,10 @@ fn main() {
 
     report.gather();
     emit_report(&report, &args);
+}
+
+/// Cross-partition messages per executed event.
+fn coupling(run: &RunOutcome) -> f64 {
+    let report = run.report.as_ref().expect("a PDES run has a kernel report");
+    report.remote_messages as f64 / report.events_executed.max(1) as f64
 }

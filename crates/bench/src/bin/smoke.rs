@@ -24,7 +24,7 @@
 //! violation. Writes `BENCH_smoke.json` under `--out`.
 
 use elephant_bench::{emit_report, fmt_f, print_table, Args};
-use elephant_core::{run_ground_truth, run_ground_truth_observed, run_sequential_supervised};
+use elephant_core::{execute, run_ground_truth, RunPlan, WorldSpec};
 use elephant_des::SimDuration;
 use elephant_net::{NetSampler, TraceLog};
 use elephant_scenario::{compile, load, CompileOverrides};
@@ -37,6 +37,10 @@ const ROUNDS: usize = 5;
 const MAX_OVERHEAD: f64 = 0.05;
 /// Absolute slack (seconds): below this delta the ratio test is noise.
 const ABS_SLACK: f64 = 0.010;
+
+fn truth() -> WorldSpec<'static> {
+    WorldSpec::Truth { capture: None }
+}
 
 fn median(xs: &mut [f64]) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -73,20 +77,14 @@ fn main() {
         let (_, m) = run_ground_truth(params, Default::default(), None, &flows, horizon);
         base.push(m.wall.as_secs_f64());
         events = m.events;
-        let (_, m) = run_ground_truth_observed(
-            params,
-            Default::default(),
-            None,
-            &flows,
-            horizon,
-            None,
-            None,
-        );
+        let observed = RunPlan::new(params, Default::default(), &flows, horizon, truth());
+        let m = execute(observed).expect("plain run").meta;
         disabled.push(m.wall.as_secs_f64());
-        let run = run_sequential_supervised(params, Default::default(), &flows, horizon, &policy)
+        let supervised = RunPlan::new(params, Default::default(), &flows, horizon, truth());
+        let run = execute(supervised.with_recovery(Some(policy)))
             .unwrap_or_else(|e| panic!("supervised run failed: {e}"));
-        checkpoints_taken = run.log.checkpoints_taken;
-        checkpointed.push(run.wall.as_secs_f64());
+        checkpoints_taken = run.recovery.expect("supervised").checkpoints_taken;
+        checkpointed.push(run.meta.wall.as_secs_f64());
     }
 
     // One enabled run, informational: full timeline + sampler + trace.
@@ -94,15 +92,10 @@ fn main() {
     elephant_obs::set_timeline_enabled(true);
     let mut sampler = NetSampler::new(SimDuration::from_micros(100), &flows);
     let trace = TraceLog::strided(50_000, events);
-    let (net, enabled_meta) = run_ground_truth_observed(
-        params,
-        Default::default(),
-        None,
-        &flows,
-        horizon,
-        Some(trace),
-        Some(&mut sampler),
-    );
+    let mut plan = RunPlan::new(params, Default::default(), &flows, horizon, truth());
+    plan.observe.trace = Some(trace);
+    plan.observe.sampler = Some(&mut sampler);
+    let (net, enabled_meta) = execute(plan).expect("plain run").into_sequential();
     elephant_net::export_flow_timeline(&net, elephant_net::MAX_FLOW_TRACKS);
     elephant_obs::set_timeline_enabled(false);
     let timeline_records = elephant_obs::timeline().len();

@@ -2,8 +2,10 @@
 //!
 //! One binary per figure of the paper's evaluation (see DESIGN.md's
 //! per-experiment index) plus ablations and baselines. This library holds
-//! what they share: argument parsing, table printing, the PDES run
-//! wrapper, and the default train-once-reuse-everywhere model pipeline.
+//! what they share: argument parsing, table printing, the ledger
+//! artifact, and the default train-once-reuse-everywhere model pipeline.
+//! Runs themselves go through `elephant_core::execute`, like every other
+//! driver.
 //!
 //! Every harness prints a human-readable table and writes CSVs under
 //! `--out` (default `results/`), so figures can be re-plotted offline.
@@ -14,11 +16,10 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use elephant_core::{
-    run_ground_truth, run_pdes_full, run_pdes_hybrid, train_cluster_model, ClusterModel,
-    TrainReport, TrainingOptions,
+    run_ground_truth, train_cluster_model, ClusterModel, TrainReport, TrainingOptions,
 };
-use elephant_des::{EpochMode, PdesReport, SimTime};
-use elephant_net::{ClosParams, FlowSpec, NetConfig, RttScope};
+use elephant_des::SimTime;
+use elephant_net::{ClosParams, NetConfig, RttScope};
 use elephant_trace::{generate, WorkloadConfig};
 
 /// Common command-line switches shared by every harness binary.
@@ -113,43 +114,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Outcome of a PDES run plus its wall time.
-#[derive(Clone, Debug)]
-pub struct PdesOutcome {
-    /// Kernel statistics.
-    pub report: PdesReport,
-    /// Wall-clock duration.
-    pub wall: Duration,
-}
-
-impl PdesOutcome {
-    /// Simulated seconds per wall second (Figure 1's y-axis).
-    pub fn sim_seconds_per_second(&self, horizon: SimTime) -> f64 {
-        horizon.as_secs_f64() / self.wall.as_secs_f64().max(1e-12)
-    }
-}
-
-/// Converts a PDES report's per-partition breakdown into run-report rows.
-pub fn partition_rows(report: &PdesReport) -> Vec<elephant_obs::PartitionRow> {
-    report
-        .partitions
-        .iter()
-        .map(|p| {
-            elephant_obs::PartitionRow {
-                partition: p.partition,
-                events: p.events,
-                work_seconds: p.work_seconds,
-                barrier_wait_seconds: p.barrier_wait_seconds,
-                barrier_wait_share: 0.0,
-                marshal_seconds: p.marshal_seconds,
-                remote_events_sent: p.remote_events_sent,
-                remote_bytes_sent: p.remote_bytes_sent,
-            }
-            .finish()
-        })
-        .collect()
-}
-
 /// Prints a [`elephant_obs::RunReport`] and writes `BENCH_<name>.json`
 /// into `args.out` as a sealed schema-v1 [`elephant_core::RunLedger`] —
 /// the single artifact path every harness binary funnels through. The
@@ -171,113 +135,6 @@ pub fn emit_report(report: &elephant_obs::RunReport, args: &Args) {
         ),
         Err(e) => eprintln!("failed to write bench ledger: {e}"),
     }
-}
-
-/// Runs the packet simulator under conservative PDES: `partitions`
-/// rack-partitioned logical processes dealt round-robin over `machines`
-/// emulated machines (cross-machine messages marshalled with
-/// `envelope_bytes` of MPI-style envelope). Thin wrapper over
-/// [`elephant_core::run_pdes_full`] keeping the harnesses' historic
-/// panic-on-error contract.
-pub fn run_pdes(
-    params: ClosParams,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    partitions: usize,
-    machines: usize,
-    envelope_bytes: usize,
-) -> PdesOutcome {
-    run_pdes_mode(
-        params,
-        flows,
-        horizon,
-        partitions,
-        machines,
-        envelope_bytes,
-        EpochMode::Adaptive,
-    )
-}
-
-/// [`run_pdes`] with an explicit epoch-planning mode, for harnesses that
-/// A/B the adaptive planner against fixed-increment stepping.
-#[allow(clippy::too_many_arguments)] // an experiment spec, not an API surface
-pub fn run_pdes_mode(
-    params: ClosParams,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    partitions: usize,
-    machines: usize,
-    envelope_bytes: usize,
-    mode: EpochMode,
-) -> PdesOutcome {
-    let run = run_pdes_full(
-        params,
-        flows,
-        horizon,
-        partitions,
-        machines,
-        envelope_bytes,
-        mode,
-        None,
-        None,
-    )
-    .unwrap_or_else(|e| panic!("PDES run failed: {e}"));
-    PdesOutcome {
-        report: run.report,
-        wall: run.wall,
-    }
-}
-
-/// Runs the *hybrid* simulator under PDES, partitioned by cluster: the
-/// full cluster plus the core layer is one logical process, every stub
-/// cluster (its hosts, TCP stacks, and oracle) another — the paper's
-/// §6.2 observation that approximation removes the fabric interdependence
-/// that made PDES unprofitable. Each partition owns its own
-/// [`elephant_core::LearnedOracle`] instance around the shared weights.
-///
-/// Returns the outcome plus the summed oracle deliveries. On a single-core
-/// host this measures coordination overhead only; with real cores the
-/// partitions execute concurrently.
-#[allow(clippy::too_many_arguments)] // an experiment spec, not an API surface
-pub fn run_hybrid_pdes(
-    params: ClosParams,
-    full_cluster: u16,
-    model: &elephant_core::ClusterModel,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    machines: usize,
-    envelope_bytes: usize,
-    seed: u64,
-) -> (PdesOutcome, u64) {
-    use elephant_core::{DropPolicy, LearnedOracle};
-    let run = run_pdes_hybrid(
-        params,
-        full_cluster,
-        |p| {
-            Box::new(LearnedOracle::new(
-                model.clone(),
-                params,
-                DropPolicy::Sample,
-                seed.wrapping_add(p as u64),
-            ))
-        },
-        flows,
-        horizon,
-        machines,
-        envelope_bytes,
-        EpochMode::Adaptive,
-        None,
-        None,
-    )
-    .unwrap_or_else(|e| panic!("PDES run failed: {e}"));
-    let oracle_total = run.oracle_deliveries();
-    (
-        PdesOutcome {
-            report: run.report,
-            wall: run.wall,
-        },
-        oracle_total,
-    )
 }
 
 /// The standard "train once" step used by Figures 4–5 and the ablations:

@@ -18,15 +18,15 @@
 //! * **oracle subsystem** — verdict-cache traffic and guard trips, which
 //!   only exist on the approximate side.
 //!
-//! Read-only contract: the audit calls the exact observed runners the
-//! standalone drivers call, with a sampler (chunked driving, proven
-//! bit-identity-preserving); `tests/audit_determinism.rs` asserts the
-//! audited runs' fingerprints equal standalone runs'.
+//! Read-only contract: the audit is two [`RunPlan`]s through the one
+//! executor every driver uses, the hybrid side with a sampler (chunked
+//! driving, proven bit-identity-preserving); `tests/audit_determinism.rs`
+//! asserts the audited runs' fingerprints equal standalone runs'.
 
 use std::collections::BTreeMap;
 
 use crate::cache::CacheStatsHandle;
-use crate::experiment::{run_ground_truth_observed, run_hybrid_observed, RunMeta};
+use crate::experiment::{run_ground_truth, run_plain, single_oracle, RunMeta, RunPlan, WorldSpec};
 use crate::macro_model::MacroState;
 
 use elephant_des::{SimDuration, SimTime};
@@ -93,20 +93,16 @@ pub fn run_audit(
         rtt_scope: RttScope::Cluster(full_cluster),
         ..cfg
     };
-    let (truth_net, truth_meta) =
-        run_ground_truth_observed(params, truth_cfg, None, flows, horizon, None, None);
+    let (truth_net, truth_meta) = run_ground_truth(params, truth_cfg, None, flows, horizon);
 
     let mut sampler = NetSampler::new(sample_every, flows);
-    let (hybrid_net, hybrid_meta) = run_hybrid_observed(
-        params,
+    let world = WorldSpec::Hybrid {
         full_cluster,
-        oracle,
-        cfg,
-        flows,
-        horizon,
-        None,
-        Some(&mut sampler),
-    );
+        oracle: single_oracle(oracle),
+    };
+    let mut plan = RunPlan::new(params, cfg, flows, horizon, world);
+    plan.observe.sampler = Some(&mut sampler);
+    let (hybrid_net, hybrid_meta) = run_plain(plan);
 
     let regimes = regime_timeline(&sampler);
     let divergence = diverge(&truth_net, &hybrid_net, &regimes, bounds, &hooks);

@@ -1,4 +1,13 @@
-//! Experiment runners: the paper's §3 workflow as three functions.
+//! One run path: a [`RunPlan`] names the run, [`execute`] runs it.
+//!
+//! A run is chosen from {truth, hybrid} × {sequential, PDES} ×
+//! {plain, supervised}, plus optional observers. The plan spells that
+//! choice out as data — [`WorldSpec`], [`Exec`], an optional
+//! [`RecoveryPolicy`] and [`Observe`] — next to the topology, the
+//! [`NetConfig`], the flows and the horizon, so "the same scenario" is
+//! the same run whichever way it is started.
+//!
+//! The paper's §3 workflow keeps its two plain-sequential shorthands:
 //!
 //! 1. [`run_ground_truth`] — full-fidelity simulation with boundary
 //!    capture around the cluster to be learned;
@@ -9,13 +18,15 @@
 //!    only traffic touching the full cluster is scheduled (§6.2's
 //!    elision).
 //!
-//! Each runner reports wall-clock time, events executed, and simulated
+//! Every run reports wall-clock time, events executed, and simulated
 //! seconds, the currencies of Figures 1 and 5.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::ElephantError;
+use crate::supervise::{supervise_pdes, supervise_sequential, RecoveryLog, RecoveryPolicy};
 
 use elephant_des::{
     EpochMode, FaultPlan, PartitionSim, PdesConfig, PdesError, PdesReport, PdesRunner, SimDuration,
@@ -42,6 +53,249 @@ impl RunMeta {
     pub fn sim_seconds_per_second(&self) -> f64 {
         self.sim_seconds / self.wall.as_secs_f64().max(1e-12)
     }
+
+    /// One zero-wait run-report partition row covering the whole run.
+    pub fn partition_row(&self) -> elephant_obs::PartitionRow {
+        elephant_obs::PartitionRow {
+            partition: 0,
+            events: self.events,
+            work_seconds: self.wall.as_secs_f64(),
+            ..Default::default()
+        }
+        .finish()
+    }
+}
+
+/// Builds the hybrid's oracle for one world: `None` is the sequential
+/// world, `Some(p)` is PDES partition `p` (each partition needs its own
+/// instance). Callers choose the seed derivation per key.
+pub type OracleFactory<'a> = Box<dyn FnMut(Option<usize>) -> Box<dyn ClusterOracle + Send> + 'a>;
+
+/// A factory for sequential plans that hands out `oracle` once.
+pub fn single_oracle<'a>(oracle: Box<dyn ClusterOracle + Send>) -> OracleFactory<'a> {
+    let mut slot = Some(oracle);
+    Box::new(move |_| slot.take().expect("a sequential world asks for one oracle"))
+}
+
+/// What is simulated.
+pub enum WorldSpec<'a> {
+    /// Every cluster at packet fidelity; `capture` records the boundary
+    /// traversals of that cluster (sequential runs only).
+    Truth {
+        /// Cluster whose boundary traffic is captured for training.
+        capture: Option<u16>,
+    },
+    /// `full_cluster` plus the core layer at packet fidelity, every other
+    /// cluster's fabric served by an oracle from `oracle`.
+    Hybrid {
+        /// The cluster kept at packet fidelity.
+        full_cluster: u16,
+        /// Oracle factory, keyed by partition.
+        oracle: OracleFactory<'a>,
+    },
+}
+
+impl WorldSpec<'_> {
+    fn label(&self) -> &'static str {
+        match self {
+            WorldSpec::Truth { .. } => "ground_truth",
+            WorldSpec::Hybrid { .. } => "hybrid",
+        }
+    }
+}
+
+/// Conservative-PDES settings. Full-fidelity runs split the racks into
+/// `partitions` logical processes; hybrid runs always use one partition
+/// per cluster. Partitions are dealt round-robin over `machines` emulated
+/// machines, and cross-machine messages carry `envelope_bytes` of
+/// MPI-style envelope.
+#[derive(Clone, Debug)]
+pub struct PdesSpec {
+    /// Rack partitions (full-fidelity runs only).
+    pub partitions: usize,
+    /// Emulated machines.
+    pub machines: usize,
+    /// Marshalling envelope bytes per cross-machine message.
+    pub envelope_bytes: usize,
+    /// Epoch planner.
+    pub mode: EpochMode,
+    /// Exchange-layer fault plan for resilience drills.
+    pub faults: Option<FaultPlan>,
+}
+
+/// How a plan is executed.
+#[derive(Clone, Debug)]
+pub enum Exec {
+    /// The sequential engine.
+    Sequential,
+    /// Conservative PDES.
+    Pdes(PdesSpec),
+}
+
+impl PdesSpec {
+    /// Adaptive-epoch PDES without faults.
+    pub fn new(partitions: usize, machines: usize, envelope_bytes: usize) -> Self {
+        PdesSpec {
+            partitions,
+            machines,
+            envelope_bytes,
+            mode: EpochMode::Adaptive,
+            faults: None,
+        }
+    }
+}
+
+/// Observers. Both preserve bit-identity: the run executes the exact
+/// same events with or without them.
+#[derive(Default)]
+pub struct Observe<'a> {
+    /// Event trace installed on the network (sequential runs only).
+    pub trace: Option<TraceLog>,
+    /// Drives the run in sampling-period chunks and records time series
+    /// between them (unsupervised runs only: a sampler observes a single
+    /// timeline and cannot follow a checkpoint restore).
+    pub sampler: Option<&'a mut NetSampler>,
+}
+
+/// One run, fully specified.
+pub struct RunPlan<'a> {
+    /// Topology.
+    pub params: ClosParams,
+    /// Network config. The RTT scope is honoured by sequential truth
+    /// runs; hybrid runs scope RTTs to the full cluster and PDES runs
+    /// record none.
+    pub net: NetConfig,
+    /// Flows to schedule (already elided for hybrid worlds).
+    pub flows: Cow<'a, [FlowSpec]>,
+    /// Simulated horizon.
+    pub horizon: SimTime,
+    /// What is simulated.
+    pub world: WorldSpec<'a>,
+    /// How it is executed.
+    pub exec: Exec,
+    /// Checkpoint/retry supervision.
+    pub recovery: Option<RecoveryPolicy>,
+    /// Observers.
+    pub observe: Observe<'a>,
+}
+
+impl<'a> RunPlan<'a> {
+    /// A plain sequential, unobserved plan.
+    pub fn new(
+        params: ClosParams,
+        net: NetConfig,
+        flows: impl Into<Cow<'a, [FlowSpec]>>,
+        horizon: SimTime,
+        world: WorldSpec<'a>,
+    ) -> Self {
+        RunPlan {
+            params,
+            net,
+            flows: flows.into(),
+            horizon,
+            world,
+            exec: Exec::Sequential,
+            recovery: None,
+            observe: Observe::default(),
+        }
+    }
+
+    /// Replaces the execution mode.
+    pub fn with_exec(mut self, exec: Exec) -> Self {
+        self.exec = exec;
+        self
+    }
+
+    /// Replaces the supervision policy.
+    pub fn with_recovery(mut self, recovery: Option<RecoveryPolicy>) -> Self {
+        self.recovery = recovery;
+        self
+    }
+}
+
+/// A finished run.
+pub struct RunOutcome {
+    /// Final networks: one per PDES partition, else a single one.
+    pub nets: Vec<Network>,
+    /// Wall time, events and simulated seconds. Under supervision the
+    /// wall time includes construction, failed attempts and restores, and
+    /// events count the successful path only.
+    pub meta: RunMeta,
+    /// Merged kernel report of a run that finished under PDES.
+    pub report: Option<PdesReport>,
+    /// What the supervisor did, for supervised runs.
+    pub recovery: Option<RecoveryLog>,
+}
+
+impl RunOutcome {
+    /// Events executed.
+    pub fn events(&self) -> u64 {
+        self.meta.events
+    }
+
+    /// Flows completed across every network.
+    pub fn flows_completed(&self) -> u64 {
+        self.nets.iter().map(|n| n.stats.flows_completed).sum()
+    }
+
+    /// Oracle deliveries across every network (0 for full fidelity).
+    pub fn oracle_deliveries(&self) -> u64 {
+        self.nets.iter().map(|n| n.stats.oracle_deliveries).sum()
+    }
+
+    /// The single network of a sequential run, with its facts.
+    pub fn into_sequential(mut self) -> (Network, RunMeta) {
+        assert_eq!(
+            self.nets.len(),
+            1,
+            "a partitioned run has no single network"
+        );
+        (self.nets.pop().expect("one network"), self.meta)
+    }
+
+    /// Run-report partition rows: the kernel's per-partition breakdown
+    /// under PDES, else one zero-wait row covering the whole run.
+    pub fn partition_rows(&self) -> Vec<elephant_obs::PartitionRow> {
+        let Some(report) = &self.report else {
+            return vec![self.meta.partition_row()];
+        };
+        report
+            .partitions
+            .iter()
+            .map(|p| {
+                elephant_obs::PartitionRow {
+                    partition: p.partition,
+                    events: p.events,
+                    work_seconds: p.work_seconds,
+                    barrier_wait_seconds: p.barrier_wait_seconds,
+                    barrier_wait_share: 0.0,
+                    marshal_seconds: p.marshal_seconds,
+                    remote_events_sent: p.remote_events_sent,
+                    remote_bytes_sent: p.remote_bytes_sent,
+                }
+                .finish()
+            })
+            .collect()
+    }
+}
+
+/// Runs `plan`. Plain sequential runs cannot fail; unsupervised PDES runs
+/// fail with [`ElephantError::Pdes`]; supervised runs fail only when the
+/// recovery ladder is exhausted.
+pub fn execute(plan: RunPlan<'_>) -> Result<RunOutcome, ElephantError> {
+    let _span = elephant_obs::span(plan.world.label());
+    let t0 = Instant::now();
+    let pdes = matches!(plan.exec, Exec::Pdes(_));
+    match (pdes, plan.recovery) {
+        (false, None) => Ok(run_sequential(plan)),
+        (false, Some(policy)) => {
+            let horizon = plan.horizon;
+            let sim = sequential_sim(plan);
+            supervise_sequential(sim, horizon, &policy, t0)
+        }
+        (true, None) => run_pdes(plan),
+        (true, Some(policy)) => supervise_pdes(plan, &policy, t0),
+    }
 }
 
 /// Runs a fully simulated network over `flows` until `horizon`.
@@ -56,33 +310,10 @@ pub fn run_ground_truth(
     flows: &[FlowSpec],
     horizon: SimTime,
 ) -> (Network, RunMeta) {
-    run_ground_truth_observed(params, cfg, capture_cluster, flows, horizon, None, None)
-}
-
-/// [`run_ground_truth`] with observability hooks: `trace` installs an
-/// event trace (first-N or strided) on the network, and `sampler` drives
-/// the run in sampling-period chunks, recording time series between
-/// chunks. Both are bit-identity-preserving — the simulation executes the
-/// exact same event sequence with or without them.
-pub fn run_ground_truth_observed(
-    params: ClosParams,
-    mut cfg: NetConfig,
-    capture_cluster: Option<u16>,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    trace: Option<TraceLog>,
-    sampler: Option<&mut NetSampler>,
-) -> (Network, RunMeta) {
-    cfg.capture_cluster = capture_cluster;
-    let _span = elephant_obs::span("ground_truth");
-    let topo = Arc::new(Topology::clos(params));
-    let mut net = Network::new(topo, cfg);
-    if let Some(log) = trace {
-        net.install_trace(log);
-    }
-    let mut sim = Simulator::new(net);
-    schedule_flows(&mut sim, flows);
-    finish(sim, horizon, sampler)
+    let world = WorldSpec::Truth {
+        capture: capture_cluster,
+    };
+    run_plain(RunPlan::new(params, cfg, flows, horizon, world))
 }
 
 /// Runs the hybrid simulation: `full_cluster` plus the core layer at
@@ -99,53 +330,19 @@ pub fn run_hybrid(
     flows: &[FlowSpec],
     horizon: SimTime,
 ) -> (Network, RunMeta) {
-    run_hybrid_observed(
-        params,
+    let world = WorldSpec::Hybrid {
         full_cluster,
-        oracle,
-        cfg,
-        flows,
-        horizon,
-        None,
-        None,
-    )
+        oracle: single_oracle(oracle),
+    };
+    run_plain(RunPlan::new(params, cfg, flows, horizon, world))
 }
 
-/// [`run_hybrid`] with observability hooks; see
-/// [`run_ground_truth_observed`] for the trace/sampler semantics.
-#[allow(clippy::too_many_arguments)] // the base runner's spec plus two hooks
-pub fn run_hybrid_observed(
-    params: ClosParams,
-    full_cluster: u16,
-    oracle: Box<dyn ClusterOracle + Send>,
-    mut cfg: NetConfig,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    trace: Option<TraceLog>,
-    sampler: Option<&mut NetSampler>,
-) -> (Network, RunMeta) {
-    assert!(
-        params.clusters >= 2,
-        "hybrid simulation needs clusters to approximate"
-    );
-    let stubs: Vec<u16> = (0..params.clusters)
-        .filter(|&c| c != full_cluster)
-        .collect();
-    cfg.capture_cluster = None;
-    // Accuracy is only drawn from the full-fidelity region (§3: "a portion
-    // of the network can be left un-approximated so that we can continue
-    // to draw full-fidelity statistics").
-    cfg.rtt_scope = RttScope::Cluster(full_cluster);
-    let _span = elephant_obs::span("hybrid");
-    let topo = Arc::new(Topology::clos_with_stubs(params, &stubs));
-    let mut net = Network::new(topo, cfg);
-    net.set_oracle(oracle);
-    if let Some(log) = trace {
-        net.install_trace(log);
-    }
-    let mut sim = Simulator::new(net);
-    schedule_flows(&mut sim, flows);
-    finish(sim, horizon, sampler)
+/// Executes a plain sequential plan, which cannot fail.
+pub(crate) fn run_plain(plan: RunPlan<'_>) -> (Network, RunMeta) {
+    debug_assert!(matches!(plan.exec, Exec::Sequential) && plan.recovery.is_none());
+    execute(plan)
+        .expect("a plain sequential run cannot fail")
+        .into_sequential()
 }
 
 /// Extracts the boundary capture from a finished network, or a typed
@@ -157,11 +354,62 @@ pub fn capture_records(net: Network) -> Result<Vec<elephant_net::BoundaryRecord>
         .ok_or(ElephantError::CaptureMissing)
 }
 
-fn finish(
-    mut sim: Simulator<Network>,
-    horizon: SimTime,
-    sampler: Option<&mut NetSampler>,
-) -> (Network, RunMeta) {
+fn stubs(params: ClosParams, full_cluster: u16) -> Vec<u16> {
+    assert!(
+        params.clusters >= 2,
+        "hybrid simulation needs clusters to approximate"
+    );
+    (0..params.clusters)
+        .filter(|&c| c != full_cluster)
+        .collect()
+}
+
+/// Builds the sequential simulator for `plan`, flows scheduled and the
+/// trace installed.
+pub(crate) fn sequential_sim(plan: RunPlan<'_>) -> Simulator<Network> {
+    let RunPlan {
+        params,
+        mut net,
+        flows,
+        mut world,
+        observe,
+        ..
+    } = plan;
+    let mut network = match &mut world {
+        WorldSpec::Truth { capture } => {
+            net.capture_cluster = *capture;
+            Network::new(Arc::new(Topology::clos(params)), net)
+        }
+        WorldSpec::Hybrid {
+            full_cluster,
+            oracle,
+        } => {
+            let topo = Arc::new(Topology::clos_with_stubs(
+                params,
+                &stubs(params, *full_cluster),
+            ));
+            net.capture_cluster = None;
+            // Accuracy is only drawn from the full-fidelity region (§3: "a
+            // portion of the network can be left un-approximated so that
+            // we can continue to draw full-fidelity statistics").
+            net.rtt_scope = RttScope::Cluster(*full_cluster);
+            let mut network = Network::new(topo, net);
+            network.set_oracle(oracle(None));
+            network
+        }
+    };
+    if let Some(log) = observe.trace {
+        network.install_trace(log);
+    }
+    let mut sim = Simulator::new(network);
+    schedule_flows(&mut sim, &flows);
+    sim
+}
+
+fn run_sequential(mut plan: RunPlan<'_>) -> RunOutcome {
+    let horizon = plan.horizon;
+    let sampler = plan.observe.sampler.take();
+    let mut sim = sequential_sim(plan);
     let _span = elephant_obs::span("run");
     let start = Instant::now();
     match sampler {
@@ -172,44 +420,124 @@ fn finish(
             sim.run_until(horizon);
         }
     }
-    let wall = start.elapsed();
-    let events = sim.scheduler().executed_total();
     let meta = RunMeta {
-        wall,
-        events,
+        wall: start.elapsed(),
+        events: sim.scheduler().executed_total(),
         sim_seconds: horizon.as_secs_f64(),
     };
-    (sim.into_world(), meta)
+    RunOutcome {
+        nets: vec![sim.into_world()],
+        meta,
+        report: None,
+        recovery: None,
+    }
 }
 
-/// Outcome of a PDES run: the merged kernel report, wall time, and the
-/// consumed partition networks (for post-run statistics such as summed
-/// oracle deliveries or flow-completion counts).
-pub struct PdesRun {
-    /// Kernel statistics, merged across sampling chunks if a sampler was
-    /// attached.
-    pub report: PdesReport,
-    /// Wall-clock duration of the run (excludes construction).
-    pub wall: Duration,
-    /// Each partition's network, in partition order.
-    pub nets: Vec<Network>,
+/// The network config every PDES partition runs with: the plan's, minus
+/// the capture and the RTT samples.
+pub(crate) fn pdes_net_config(net: NetConfig) -> NetConfig {
+    NetConfig {
+        rtt_scope: RttScope::None,
+        capture_cluster: None,
+        ..net
+    }
 }
 
-impl PdesRun {
-    /// Events executed, summed over partitions and chunks.
-    pub fn events(&self) -> u64 {
-        self.report.events_executed
+/// Builds the PDES runner for a plan's world: rack partitions for full
+/// fidelity, one partition per cluster for the hybrid (the full cluster
+/// plus the core layer is one logical process, every stub cluster with
+/// its own oracle another — the paper's §6.2 observation that
+/// approximation removes the fabric interdependence that made PDES
+/// unprofitable). Each partition's scheduler is seeded with the flows
+/// its hosts send.
+pub(crate) fn pdes_runner(
+    params: ClosParams,
+    net: NetConfig,
+    world: &mut WorldSpec<'_>,
+    flows: &[FlowSpec],
+    spec: &PdesSpec,
+) -> PdesRunner<NetPartition> {
+    let cfg = pdes_net_config(net);
+    let (topo, map, partitions, lookahead) = match world {
+        WorldSpec::Truth { .. } => {
+            let topo = Topology::clos(params);
+            let map = topo.partition_by_rack(spec.partitions);
+            let lookahead = topo
+                .min_cut_latency(&map)
+                .unwrap_or(SimDuration::from_micros(1));
+            (topo, map, spec.partitions, lookahead)
+        }
+        WorldSpec::Hybrid { full_cluster, .. } => {
+            let topo = Topology::clos_with_stubs(params, &stubs(params, *full_cluster));
+            let (map, partitions) = topo.partition_by_cluster();
+            let lookahead = topo
+                .min_cut_latency(&map)
+                .expect("multi-cluster hybrid has cut links");
+            (topo, map, partitions, lookahead)
+        }
+    };
+    let (topo, map) = (Arc::new(topo), Arc::new(map));
+    let mut parts: Vec<PartitionSim<NetPartition>> = (0..partitions)
+        .map(|p| {
+            let mut net = Network::new(Arc::clone(&topo), cfg);
+            net.set_partition(p, Arc::clone(&map));
+            if let WorldSpec::Hybrid { oracle, .. } = world {
+                net.set_oracle(oracle(Some(p)));
+            }
+            PartitionSim::new(NetPartition { net })
+        })
+        .collect();
+    for f in flows {
+        let owner = map[topo.host_node(f.src).idx()] as usize;
+        parts[owner]
+            .scheduler_mut()
+            .schedule_at(f.start, NetEvent::FlowStart(*f));
     }
+    let mut pdes_cfg =
+        PdesConfig::round_robin(partitions, spec.machines, lookahead, spec.envelope_bytes)
+            .with_epoch_mode(spec.mode);
+    if let Some(plan) = spec.faults.clone() {
+        pdes_cfg = pdes_cfg.with_faults(plan);
+    }
+    PdesRunner::new(parts, pdes_cfg)
+}
 
-    /// Flows completed across every partition.
-    pub fn flows_completed(&self) -> u64 {
-        self.nets.iter().map(|n| n.stats.flows_completed).sum()
-    }
+/// The partitions' networks, in partition order.
+pub(crate) fn partition_nets(runner: PdesRunner<NetPartition>) -> Vec<Network> {
+    runner
+        .into_partitions()
+        .into_iter()
+        .map(|p| p.into_world().net)
+        .collect()
+}
 
-    /// Oracle deliveries across every partition (0 for full-fidelity runs).
-    pub fn oracle_deliveries(&self) -> u64 {
-        self.nets.iter().map(|n| n.stats.oracle_deliveries).sum()
-    }
+fn run_pdes(plan: RunPlan<'_>) -> Result<RunOutcome, ElephantError> {
+    let RunPlan {
+        params,
+        net,
+        flows,
+        horizon,
+        mut world,
+        exec: Exec::Pdes(spec),
+        observe,
+        ..
+    } = plan
+    else {
+        unreachable!("run_pdes runs PDES plans")
+    };
+    let mut runner = pdes_runner(params, net, &mut world, &flows, &spec);
+    let (report, wall) =
+        drive_pdes(&mut runner, horizon, observe.sampler).map_err(ElephantError::Pdes)?;
+    Ok(RunOutcome {
+        meta: RunMeta {
+            wall,
+            events: report.events_executed,
+            sim_seconds: horizon.as_secs_f64(),
+        },
+        nets: partition_nets(runner),
+        report: Some(report),
+        recovery: None,
+    })
 }
 
 /// Drives a [`PdesRunner`] to `horizon`, optionally pausing at every
@@ -251,165 +579,6 @@ fn drive_pdes(
         }
     };
     Ok((report, t0.elapsed()))
-}
-
-/// Runs the full-fidelity simulator under conservative PDES:
-/// `partitions` rack-partitioned logical processes dealt round-robin over
-/// `machines` emulated machines (cross-machine messages marshalled with
-/// `envelope_bytes` of MPI-style envelope). With the timeline enabled
-/// (`elephant_obs::set_timeline_enabled`), each partition thread records
-/// per-epoch compute/barrier/marshal slices onto its own wall-clock track.
-/// `mode` selects the epoch planner ([`EpochMode::Adaptive`] unless the
-/// caller is A/B-ing against fixed-increment stepping); chunked sampling
-/// stays exact in either mode. `faults` optionally injects the exchange-
-/// layer fault plan (drop/dup/corrupt/slowdown/stall) for resilience
-/// drills.
-#[allow(clippy::too_many_arguments)] // an experiment spec, not an API surface
-pub fn run_pdes_full(
-    params: ClosParams,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    partitions: usize,
-    machines: usize,
-    envelope_bytes: usize,
-    mode: EpochMode,
-    faults: Option<FaultPlan>,
-    sampler: Option<&mut NetSampler>,
-) -> Result<PdesRun, PdesError> {
-    let (parts, lookahead) = build_full_partitions(params, flows, partitions);
-
-    let mut pdes_cfg = PdesConfig::round_robin(partitions, machines, lookahead, envelope_bytes)
-        .with_epoch_mode(mode);
-    if let Some(plan) = faults {
-        pdes_cfg = pdes_cfg.with_faults(plan);
-    }
-    let mut runner = PdesRunner::new(parts, pdes_cfg);
-    let (report, wall) = drive_pdes(&mut runner, horizon, sampler)?;
-    let nets = runner
-        .into_partitions()
-        .into_iter()
-        .map(|p| p.into_world().net)
-        .collect();
-    Ok(PdesRun { report, wall, nets })
-}
-
-/// Builds the rack-partitioned logical processes for a full-fidelity PDES
-/// run and seeds each partition's scheduler with the flows it owns.
-/// Returns the partitions plus the min-cut lookahead. Shared between
-/// [`run_pdes_full`] and the supervised driver
-/// ([`crate::run_pdes_full_supervised`]) so their runs are constructed
-/// identically — the precondition for bit-equal fingerprints across them.
-pub(crate) fn build_full_partitions(
-    params: ClosParams,
-    flows: &[FlowSpec],
-    partitions: usize,
-) -> (Vec<PartitionSim<NetPartition>>, SimDuration) {
-    let topo = Arc::new(Topology::clos(params));
-    let map = Arc::new(topo.partition_by_rack(partitions));
-    let lookahead = topo
-        .min_cut_latency(&map)
-        .unwrap_or(SimDuration::from_micros(1));
-    let cfg = NetConfig {
-        rtt_scope: RttScope::None,
-        ..Default::default()
-    };
-
-    let mut parts: Vec<PartitionSim<NetPartition>> = (0..partitions)
-        .map(|p| {
-            let mut net = Network::new(Arc::clone(&topo), cfg);
-            net.set_partition(p, Arc::clone(&map));
-            PartitionSim::new(NetPartition { net })
-        })
-        .collect();
-    for f in flows {
-        let owner = map[topo.host_node(f.src).idx()] as usize;
-        parts[owner]
-            .scheduler_mut()
-            .schedule_at(f.start, NetEvent::FlowStart(*f));
-    }
-    (parts, lookahead)
-}
-
-/// Runs the *hybrid* simulator under PDES, partitioned by cluster: the
-/// full cluster plus the core layer is one logical process, every stub
-/// cluster (its hosts, TCP stacks, and oracle replica) another — the
-/// paper's §6.2 observation that approximation removes the fabric
-/// interdependence that made PDES unprofitable. `oracle_factory` builds
-/// partition `p`'s oracle (each partition needs its own instance; vary the
-/// seed by `p` for sampled drop policies).
-#[allow(clippy::too_many_arguments)] // an experiment spec, not an API surface
-pub fn run_pdes_hybrid(
-    params: ClosParams,
-    full_cluster: u16,
-    mut oracle_factory: impl FnMut(usize) -> Box<dyn ClusterOracle + Send>,
-    flows: &[FlowSpec],
-    horizon: SimTime,
-    machines: usize,
-    envelope_bytes: usize,
-    mode: EpochMode,
-    faults: Option<FaultPlan>,
-    sampler: Option<&mut NetSampler>,
-) -> Result<PdesRun, PdesError> {
-    let (parts, lookahead, partitions) =
-        build_hybrid_partitions(params, full_cluster, &mut oracle_factory, flows);
-
-    let mut pdes_cfg = PdesConfig::round_robin(partitions, machines, lookahead, envelope_bytes)
-        .with_epoch_mode(mode);
-    if let Some(plan) = faults {
-        pdes_cfg = pdes_cfg.with_faults(plan);
-    }
-    let mut runner = PdesRunner::new(parts, pdes_cfg);
-    let (report, wall) = drive_pdes(&mut runner, horizon, sampler)?;
-    let nets = runner
-        .into_partitions()
-        .into_iter()
-        .map(|p| p.into_world().net)
-        .collect();
-    Ok(PdesRun { report, wall, nets })
-}
-
-/// Builds the cluster-partitioned logical processes for a hybrid PDES run
-/// — the full cluster plus core layer as one process, each stub cluster
-/// (with its own oracle replica) as another — and seeds each partition's
-/// scheduler with the flows it owns. Returns the partitions, the min-cut
-/// lookahead, and the partition count. Shared between [`run_pdes_hybrid`]
-/// and the supervised driver ([`crate::run_pdes_hybrid_supervised`]) so
-/// their runs are constructed identically.
-pub(crate) fn build_hybrid_partitions(
-    params: ClosParams,
-    full_cluster: u16,
-    oracle_factory: &mut dyn FnMut(usize) -> Box<dyn ClusterOracle + Send>,
-    flows: &[FlowSpec],
-) -> (Vec<PartitionSim<NetPartition>>, SimDuration, usize) {
-    let stubs: Vec<u16> = (0..params.clusters)
-        .filter(|&c| c != full_cluster)
-        .collect();
-    let topo = Arc::new(Topology::clos_with_stubs(params, &stubs));
-    let (map, partitions) = topo.partition_by_cluster();
-    let map = Arc::new(map);
-    let lookahead = topo
-        .min_cut_latency(&map)
-        .expect("multi-cluster hybrid has cut links");
-    let cfg = NetConfig {
-        rtt_scope: RttScope::None,
-        ..Default::default()
-    };
-
-    let mut parts: Vec<PartitionSim<NetPartition>> = (0..partitions)
-        .map(|p| {
-            let mut net = Network::new(Arc::clone(&topo), cfg);
-            net.set_partition(p, Arc::clone(&map));
-            net.set_oracle(oracle_factory(p));
-            PartitionSim::new(NetPartition { net })
-        })
-        .collect();
-    for f in flows {
-        let owner = map[topo.host_node(f.src).idx()] as usize;
-        parts[owner]
-            .scheduler_mut()
-            .schedule_at(f.start, NetEvent::FlowStart(*f));
-    }
-    (parts, lookahead, partitions)
 }
 
 #[cfg(test)]

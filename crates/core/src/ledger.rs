@@ -23,16 +23,7 @@ use serde::{Deserialize, Serialize};
 /// of the previous shape would misinterpret.
 pub const LEDGER_SCHEMA_VERSION: u32 = 1;
 
-/// FNV-1a 64 over a byte string — the same constants the scenario
-/// compiler's run fingerprint uses, exposed for artifact checksums.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use elephant_des::fnv1a_64;
 
 /// A versioned, checksummed description of one completed run.
 #[derive(Clone, Debug, Serialize, Deserialize)]

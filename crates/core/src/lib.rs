@@ -15,6 +15,7 @@
 //! | §4.2 micro models (ingress + egress LSTM, joint drop/latency heads) | [`ClusterModel`] (built on `elephant_nn::MicroNet`) |
 //! | §4.2 impossible-schedule conflict rule | enforced by the engine (`elephant_net`'s boundary gate) |
 //! | §3 workflow: simulate small → train → assemble large | [`run_ground_truth`] → [`train_cluster_model`] → [`run_hybrid`] |
+//! | §3/§6.2 runs: {truth, hybrid} × {sequential, PDES} × {plain, supervised} | [`RunPlan`] → [`execute`] |
 //! | §6.1 CDF-level accuracy comparison | [`compare_cdfs`] |
 //!
 //! ## The full workflow
@@ -61,6 +62,7 @@ mod features;
 mod learned;
 mod ledger;
 mod macro_model;
+mod stack;
 mod supervise;
 mod train;
 
@@ -74,8 +76,8 @@ pub use cache::{
 };
 pub use error::ElephantError;
 pub use experiment::{
-    capture_records, run_ground_truth, run_ground_truth_observed, run_hybrid, run_hybrid_observed,
-    run_pdes_full, run_pdes_hybrid, PdesRun, RunMeta,
+    capture_records, execute, run_ground_truth, run_hybrid, single_oracle, Exec, Observe,
+    OracleFactory, PdesSpec, RunMeta, RunOutcome, RunPlan, WorldSpec,
 };
 pub use features::{FeatureExtractor, LatencyCodec, FEATURE_DIM};
 pub use learned::{
@@ -84,10 +86,10 @@ pub use learned::{
 };
 pub use ledger::{compare_ledgers, fnv1a_64, RunLedger, LEDGER_SCHEMA_VERSION};
 pub use macro_model::{MacroConfig, MacroModel, MacroState};
+pub use stack::{oracle_stack, OracleStack, StackSpec};
 pub use supervise::{
-    run_hybrid_supervised, run_pdes_full_supervised, run_pdes_hybrid_supervised,
-    run_sequential_supervised, RecoveryEvent, RecoveryLog, RecoveryPolicy, Rung, SupervisedRun,
-    DEFAULT_CHECKPOINT_EVERY, DEFAULT_MAX_RETRIES,
+    RecoveryEvent, RecoveryLog, RecoveryPolicy, Rung, SupervisedRun, DEFAULT_CHECKPOINT_EVERY,
+    DEFAULT_MAX_RETRIES,
 };
 pub use train::{
     build_samples, calibrate_macro, evaluate, model_meta, train_cluster_model, DirectionReport,

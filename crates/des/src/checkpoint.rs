@@ -40,14 +40,12 @@ pub const CHECKPOINT_MAGIC: &str = "ELEPHANT-CHECKPOINT";
 /// Current manifest format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte string; the manifest's integrity check.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+/// FNV-1a 64 over a byte string: the checkpoint manifest's integrity
+/// check, the run ledger's checksum and the run fingerprint's hash.
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// A quiescent snapshot of a sequential simulation: world plus scheduler.
@@ -211,7 +209,7 @@ impl CheckpointManifest {
         let payload = self.payload();
         format!(
             "{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\nchecksum {:#018x}\n{payload}",
-            fnv1a(payload.as_bytes())
+            fnv1a_64(payload.as_bytes())
         )
     }
 
@@ -278,7 +276,7 @@ impl CheckpointManifest {
                 }
             }
         }
-        let actual = fnv1a(payload.as_bytes());
+        let actual = fnv1a_64(payload.as_bytes());
         if actual != expected {
             return Err(CheckpointError::ChecksumMismatch { expected, actual });
         }

@@ -63,7 +63,7 @@ mod stats;
 mod time;
 
 pub use checkpoint::{
-    CheckpointError, CheckpointManifest, PdesCheckpoint, SimCheckpoint, CHECKPOINT_MAGIC,
+    fnv1a_64, CheckpointError, CheckpointManifest, PdesCheckpoint, SimCheckpoint, CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
 };
 pub use fault::{FaultCounts, FaultPlan};

@@ -1,4 +1,4 @@
-//! Lowering: [`Scenario`] → the engine types the `experiment` drivers eat.
+//! Lowering: [`Scenario`] → the engine inputs a run plan is built from.
 //!
 //! A [`Compiled`] scenario is the fully materialized run: `ClosParams`,
 //! the complete flow list (every traffic group lowered, replicated, and
@@ -18,11 +18,10 @@
 
 use crate::schema::{ProfileSpec, RegimeWindow, Scenario, SizeSpec, TrafficGroup, TrafficKind};
 use elephant_core::{
-    run_ground_truth_observed, run_hybrid_observed, run_hybrid_supervised, run_pdes_full,
-    run_pdes_full_supervised, run_pdes_hybrid, run_pdes_hybrid_supervised,
-    run_sequential_supervised, ElephantError, PdesRun, RecoveryPolicy, RunMeta, SupervisedRun,
+    execute, fnv1a_64, single_oracle, ElephantError, Exec, OracleFactory, PdesSpec, RecoveryPolicy,
+    RunMeta, RunOutcome, RunPlan, StackSpec, SupervisedRun, WorldSpec,
 };
-use elephant_des::{EpochMode, FaultPlan, PdesError, SimDuration, SimTime};
+use elephant_des::{EpochMode, FaultPlan, SimDuration, SimTime};
 use elephant_net::{
     ClosParams, ClusterOracle, FlowId, FlowSpec, GuardConfig, HostAddr, NetConfig, NetSampler,
     Network, RttScope, TcpConfig,
@@ -63,7 +62,7 @@ pub struct Compiled {
     pub horizon: SimTime,
     /// Effective seed.
     pub seed: u64,
-    /// DCTCP run (selects [`TcpConfig::dctcp`] on sequential drivers).
+    /// DCTCP run (selects [`TcpConfig::dctcp`] on every driver).
     pub dctcp: bool,
     /// PDES rack partitions.
     pub partitions: usize,
@@ -112,8 +111,8 @@ pub struct HybridSpec {
     /// `[oracle] cache_cap` in verdicts.
     pub cache_cap: usize,
     /// Lowered `[guard]` settings; `None` when `[guard] enabled = false`.
-    /// `expected_drop_rate` stays `None` here — the CLI fills it from the
-    /// loaded model's training metadata.
+    /// `expected_drop_rate` stays `None` here — `oracle_stack` fills it
+    /// from the loaded model's training metadata.
     pub guard: Option<GuardConfig>,
 }
 
@@ -441,7 +440,7 @@ fn lower_profile(p: &ProfileSpec, regimes: &[RegimeWindow], start_ms: f64) -> Lo
 }
 
 impl Compiled {
-    /// The sequential drivers' network config for this run.
+    /// The network config every plan of this scenario starts from.
     pub fn net_config(&self) -> NetConfig {
         NetConfig {
             tcp: if self.dctcp {
@@ -454,17 +453,65 @@ impl Compiled {
         }
     }
 
+    /// The hybrid driver's flow list: the compiled flows elided to
+    /// traffic touching the full-fidelity cluster (the paper's §6.2
+    /// elision — identical to what the `hybrid` subcommand schedules).
+    pub fn hybrid_flows(&self) -> Vec<FlowSpec> {
+        filter_touching_cluster(&self.flows, self.hybrid.full_cluster)
+    }
+
+    /// The `[oracle]`/`[guard]` oracle-stack settings.
+    pub fn stack_spec(&self) -> StackSpec {
+        StackSpec {
+            cache_cap: self.hybrid.cache.then_some(self.hybrid.cache_cap),
+            guard: self.hybrid.guard.clone(),
+        }
+    }
+
+    /// This scenario as a plain sequential plan: ground truth over every
+    /// flow, or — given an oracle factory — the hybrid over
+    /// [`hybrid_flows`](Self::hybrid_flows) with the `[model]`-selected
+    /// full cluster.
+    pub fn plan<'a>(&'a self, oracle: Option<OracleFactory<'a>>) -> RunPlan<'a> {
+        let net = self.net_config();
+        match oracle {
+            None => RunPlan::new(
+                self.params,
+                net,
+                &self.flows,
+                self.horizon,
+                WorldSpec::Truth { capture: None },
+            ),
+            Some(oracle) => RunPlan::new(
+                self.params,
+                net,
+                self.hybrid_flows(),
+                self.horizon,
+                WorldSpec::Hybrid {
+                    full_cluster: self.hybrid.full_cluster,
+                    oracle,
+                },
+            ),
+        }
+    }
+
+    /// PDES execution with the `[topology.pdes]` partitioning (or the
+    /// caller's override) and the scenario's fault plan.
+    pub fn pdes(&self, partitions: Option<usize>, mode: EpochMode) -> Exec {
+        Exec::Pdes(PdesSpec {
+            partitions: partitions.unwrap_or(self.partitions),
+            machines: self.machines,
+            envelope_bytes: self.envelope_bytes,
+            mode,
+            faults: self.faults.clone(),
+        })
+    }
+
     /// Runs the scenario on the sequential full-fidelity driver.
     pub fn run_sequential(&self, sampler: Option<&mut NetSampler>) -> (Network, RunMeta) {
-        run_ground_truth_observed(
-            self.params,
-            self.net_config(),
-            None,
-            &self.flows,
-            self.horizon,
-            None,
-            sampler,
-        )
+        let mut plan = self.plan(None);
+        plan.observe.sampler = sampler;
+        sequential(plan)
     }
 
     /// Runs the scenario under conservative PDES with the partitioning
@@ -475,62 +522,10 @@ impl Compiled {
         partitions: Option<usize>,
         mode: EpochMode,
         sampler: Option<&mut NetSampler>,
-    ) -> Result<PdesRun, PdesError> {
-        run_pdes_full(
-            self.params,
-            &self.flows,
-            self.horizon,
-            partitions.unwrap_or(self.partitions),
-            self.machines,
-            self.envelope_bytes,
-            mode,
-            self.faults.clone(),
-            sampler,
-        )
-    }
-
-    /// Runs the scenario sequentially under checkpoint/restore supervision.
-    pub fn run_sequential_supervised(
-        &self,
-        policy: &RecoveryPolicy,
-    ) -> Result<SupervisedRun, ElephantError> {
-        run_sequential_supervised(
-            self.params,
-            self.net_config(),
-            &self.flows,
-            self.horizon,
-            policy,
-        )
-    }
-
-    /// Runs the scenario under supervised PDES: checkpoints at `policy`
-    /// intervals, restores on engine faults, and walks the degradation
-    /// ladder (adaptive → fixed epochs → sequential) when retries are
-    /// exhausted.
-    pub fn run_pdes_supervised(
-        &self,
-        partitions: Option<usize>,
-        mode: EpochMode,
-        policy: &RecoveryPolicy,
-    ) -> Result<SupervisedRun, ElephantError> {
-        run_pdes_full_supervised(
-            self.params,
-            &self.flows,
-            self.horizon,
-            partitions.unwrap_or(self.partitions),
-            self.machines,
-            self.envelope_bytes,
-            mode,
-            self.faults.clone(),
-            policy,
-        )
-    }
-
-    /// The hybrid driver's flow list: the compiled flows elided to
-    /// traffic touching the full-fidelity cluster (the paper's §6.2
-    /// elision — identical to what the `hybrid` subcommand schedules).
-    pub fn hybrid_flows(&self) -> Vec<FlowSpec> {
-        filter_touching_cluster(&self.flows, self.hybrid.full_cluster)
+    ) -> Result<RunOutcome, ElephantError> {
+        let mut plan = self.plan(None).with_exec(self.pdes(partitions, mode));
+        plan.observe.sampler = sampler;
+        execute(plan)
     }
 
     /// Runs the scenario on the sequential hybrid driver: the
@@ -541,38 +536,9 @@ impl Compiled {
         oracle: Box<dyn ClusterOracle + Send>,
         sampler: Option<&mut NetSampler>,
     ) -> (Network, RunMeta) {
-        run_hybrid_observed(
-            self.params,
-            self.hybrid.full_cluster,
-            oracle,
-            self.net_config(),
-            &self.hybrid_flows(),
-            self.horizon,
-            None,
-            sampler,
-        )
-    }
-
-    /// Runs the scenario on the cluster-partitioned PDES hybrid driver.
-    /// `oracle_factory` builds partition `p`'s oracle instance.
-    pub fn run_pdes_hybrid(
-        &self,
-        oracle_factory: impl FnMut(usize) -> Box<dyn ClusterOracle + Send>,
-        mode: EpochMode,
-        sampler: Option<&mut NetSampler>,
-    ) -> Result<PdesRun, PdesError> {
-        run_pdes_hybrid(
-            self.params,
-            self.hybrid.full_cluster,
-            oracle_factory,
-            &self.hybrid_flows(),
-            self.horizon,
-            self.machines,
-            self.envelope_bytes,
-            mode,
-            self.faults.clone(),
-            sampler,
-        )
+        let mut plan = self.plan(Some(single_oracle(oracle)));
+        plan.observe.sampler = sampler;
+        sequential(plan)
     }
 
     /// Runs the scenario on the sequential hybrid driver under
@@ -582,43 +548,15 @@ impl Compiled {
         oracle: Box<dyn ClusterOracle + Send>,
         policy: &RecoveryPolicy,
     ) -> Result<SupervisedRun, ElephantError> {
-        run_hybrid_supervised(
-            self.params,
-            self.hybrid.full_cluster,
-            oracle,
-            self.net_config(),
-            &self.hybrid_flows(),
-            self.horizon,
-            policy,
-        )
+        let plan = self.plan(Some(single_oracle(oracle)));
+        execute(plan.with_recovery(Some(*policy))).map(SupervisedRun::from)
     }
+}
 
-    /// Runs the scenario on the PDES hybrid driver under supervision:
-    /// checkpoints, restores, and degrades adaptive → fixed → sequential
-    /// hybrid. `sequential_oracle` builds the oracle for the terminal
-    /// sequential rung (its seed derivation differs from the per-partition
-    /// PDES oracles).
-    pub fn run_pdes_hybrid_supervised(
-        &self,
-        oracle_factory: impl FnMut(usize) -> Box<dyn ClusterOracle + Send>,
-        sequential_oracle: impl FnOnce() -> Box<dyn ClusterOracle + Send>,
-        mode: EpochMode,
-        policy: &RecoveryPolicy,
-    ) -> Result<SupervisedRun, ElephantError> {
-        run_pdes_hybrid_supervised(
-            self.params,
-            self.hybrid.full_cluster,
-            oracle_factory,
-            sequential_oracle,
-            &self.hybrid_flows(),
-            self.horizon,
-            self.machines,
-            self.envelope_bytes,
-            mode,
-            self.faults.clone(),
-            policy,
-        )
-    }
+fn sequential(plan: RunPlan<'_>) -> (Network, RunMeta) {
+    execute(plan)
+        .expect("a plain sequential run cannot fail")
+        .into_sequential()
 }
 
 /// The run fingerprint: FNV-1a 64 over flow completions, delivered bytes,
@@ -643,34 +581,9 @@ pub fn run_fingerprint<'a>(nets: impl IntoIterator<Item = &'a Network>) -> u64 {
         );
     }
     fct.sort_unstable();
-    let mut h = Fnv::new();
-    h.write(completed);
-    h.write(delivered);
-    h.write(drops);
-    h.write(fct.len() as u64);
-    for (flow, started, done) in fct {
-        h.write(flow);
-        h.write(started);
-        h.write(done);
-    }
-    h.finish()
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    let words = [completed, delivered, drops, fct.len() as u64]
+        .into_iter()
+        .chain(fct.into_iter().flat_map(|(flow, s, d)| [flow, s, d]));
+    let bytes: Vec<u8> = words.flat_map(u64::to_le_bytes).collect();
+    fnv1a_64(&bytes)
 }

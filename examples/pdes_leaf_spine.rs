@@ -10,10 +10,10 @@
 //! cargo run --release --example pdes_leaf_spine
 //! ```
 
+use elephant::core::{execute, Exec, PdesSpec, RunPlan, WorldSpec};
 use elephant::des::SimTime;
 use elephant::net::{ClosParams, NetConfig, RttScope};
 use elephant::trace::{generate, LoadProfile, Locality, SizeDist, WorkloadConfig};
-use elephant_bench::run_pdes;
 
 fn main() {
     let n = 8u16; // ToRs and spines
@@ -49,14 +49,18 @@ fn main() {
 
     for machines in [1usize, 2, 4] {
         let partitions = 2 * machines;
-        let out = run_pdes(params, &flows, horizon, partitions, machines, 64);
+        let truth = WorldSpec::Truth { capture: None };
+        let plan = RunPlan::new(params, NetConfig::default(), &flows, horizon, truth)
+            .with_exec(Exec::Pdes(PdesSpec::new(partitions, machines, 64)));
+        let out = execute(plan).expect("PDES run");
+        let report = out.report.as_ref().expect("PDES report");
         println!(
             "{machines} machine(s): {:>9} events  {:>8.3}s wall  {:.4} sim-s/s  ({} epochs, {} msgs marshalled)",
-            out.report.events_executed,
-            out.wall.as_secs_f64(),
-            out.sim_seconds_per_second(horizon),
-            out.report.epochs,
-            out.report.marshalled_messages,
+            out.events(),
+            out.meta.wall.as_secs_f64(),
+            out.meta.sim_seconds_per_second(),
+            report.epochs,
+            report.marshalled_messages,
         );
     }
 

@@ -20,9 +20,10 @@
 //!   arrivals, locality mixes) and CSV export;
 //! * [`flow`] — max-min fair fluid simulation, the related-work baseline;
 //! * [`core`] — the paper's contribution: macro model, features, learned
-//!   oracles, the train-and-approximate pipeline, accuracy metrics;
+//!   oracles, the train-and-approximate pipeline, accuracy metrics, and
+//!   the one run path (`RunPlan` → `execute`);
 //! * [`scenario`] — declarative TOML scenarios: schema, validating
-//!   loader, and the compiler lowering them onto the drivers above.
+//!   loader, and the compiler lowering them onto run plans.
 //!
 //! See `README.md` for a guided tour, `DESIGN.md` for the
 //! paper-to-module map, and `examples/` for runnable entry points.

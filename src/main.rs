@@ -10,25 +10,30 @@
 //! elephant compare --model model.json --clusters 4       # truth vs hybrid accuracy table
 //! ```
 //!
-//! Every command prints a summary and is a pure function of its `--seed`.
+//! Every simulating command builds one `RunPlan` and runs it through
+//! `elephant_core::execute`; one summary printer and one ledger epilogue
+//! serve them all. Every command is a pure function of its `--seed`.
 
+use std::cell::RefCell;
 use std::process::exit;
 
 use elephant::core::{
-    capture_records, compare_cdfs, compare_ledgers, run_audit, run_ground_truth, run_hybrid,
-    run_hybrid_observed, run_pdes_full, run_pdes_hybrid, train_cluster_model, AuditHooks,
-    CacheStats, CacheStatsHandle, ClusterModel, DropPolicy, ElephantError, LearnedOracle, PdesRun,
-    RunLedger, SupervisedRun, TrainingOptions, LEDGER_SCHEMA_VERSION,
+    capture_records, compare_cdfs, compare_ledgers, execute, oracle_stack, run_audit,
+    run_ground_truth, run_hybrid, train_cluster_model, AuditHooks, CacheStats, CacheStatsHandle,
+    ClusterModel, ElephantError, Exec, OracleFactory, PdesSpec, RunLedger, RunMeta, RunOutcome,
+    RunPlan, StackSpec, TrainingOptions, WorldSpec, LEDGER_SCHEMA_VERSION,
 };
 use elephant::des::{EpochMode, FaultCounts, FaultPlan, SimDuration, SimTime};
 use elephant::net::{
-    ClosParams, ClusterOracle, FaultyOracle, FixedLatencyOracle, FlowSpec, GuardConfig,
-    GuardStatsHandle, GuardedOracle, NetConfig, NetSampler, Network, OracleFaultMode, RttScope,
-    TcpConfig, TraceLog, MAX_FLOW_TRACKS, SAMPLE_CSV_HEADER,
+    ClosParams, ClusterOracle, FaultyOracle, FlowSpec, GuardConfig, GuardStatsHandle, NetConfig,
+    NetSampler, Network, OracleFaultMode, RttScope, TcpConfig, TraceLog, MAX_FLOW_TRACKS,
+    SAMPLE_CSV_HEADER,
 };
 use elephant::nn::RnnKind;
-use elephant::obs::{DivergenceReport, RunReport, TimelineWriter, TraceRecord, PID_FLOWS};
-use elephant::scenario::run_fingerprint;
+use elephant::obs::{
+    DivergenceReport, PartitionRow, RunReport, TimelineWriter, TraceRecord, PID_FLOWS,
+};
+use elephant::scenario::{run_fingerprint, Compiled, HybridSpec};
 use elephant::trace::{filter_touching_cluster, generate, write_csv, WorkloadConfig};
 
 fn main() {
@@ -178,6 +183,13 @@ fn die(e: ElephantError) -> ! {
     exit(e.exit_code())
 }
 
+fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
+    s.parse().unwrap_or_else(|_| {
+        eprintln!("invalid value for {flag}: {s}");
+        exit(2)
+    })
+}
+
 #[derive(Debug)]
 struct Opts {
     clusters: u16,
@@ -302,7 +314,12 @@ impl Opts {
     }
 
     fn params(&self) -> ClosParams {
-        let mut p = ClosParams::paper_cluster(self.clusters);
+        self.params_at(self.clusters)
+    }
+
+    /// The paper topology at `clusters`, ECN-marking under `--dctcp`.
+    fn params_at(&self, clusters: u16) -> ClosParams {
+        let mut p = ClosParams::paper_cluster(clusters);
         if self.dctcp {
             p.host_link = p.host_link.with_ecn(30_000);
             p.fabric_link = p.fabric_link.with_ecn(30_000);
@@ -312,18 +329,10 @@ impl Opts {
     }
 
     fn net_config(&self, scope: RttScope) -> NetConfig {
-        NetConfig {
-            tcp: if self.dctcp {
-                TcpConfig::dctcp()
-            } else {
-                TcpConfig::default()
-            },
-            rtt_scope: scope,
-            ..Default::default()
-        }
+        net_config(self.dctcp, scope)
     }
 
-    fn workload(&self, params: &ClosParams, seed: u64) -> Vec<elephant::net::FlowSpec> {
+    fn workload(&self, params: &ClosParams, seed: u64) -> Vec<FlowSpec> {
         let mut wl = WorkloadConfig::paper_default(self.horizon, seed);
         wl.load = self.load;
         generate(params, &wl)
@@ -331,6 +340,56 @@ impl Opts {
 
     fn observing(&self) -> bool {
         self.profile || self.metrics_out.is_some()
+    }
+
+    fn outputs(&self, name: &str, scenario: String) -> Outputs {
+        Outputs {
+            name: name.to_string(),
+            scenario,
+            seed: self.seed,
+            profile: self.profile,
+            metrics_out: self.metrics_out.clone(),
+            // Next to the timeline when `--trace-out` is set, else in the
+            // working directory.
+            samples_out: match &self.trace_out {
+                Some(p) => format!("{}.samples.csv", p.trim_end_matches(".json")),
+                None => "samples.csv".into(),
+            },
+            trace_out: self.trace_out.clone(),
+        }
+    }
+
+    /// The plan every hand-flag run shares: `world` over `flows`, on PDES
+    /// under `--pdes`, with the event trace on sequential runs.
+    fn plan<'a>(
+        &self,
+        flows: &'a [FlowSpec],
+        world: WorldSpec<'a>,
+        scope: RttScope,
+    ) -> RunPlan<'a> {
+        let plan = RunPlan::new(
+            self.params(),
+            self.net_config(scope),
+            flows,
+            self.horizon,
+            world,
+        );
+        match self.pdes {
+            Some(partitions) => {
+                if self.trace.is_some() || self.trace_out.is_some() {
+                    println!("note: --pdes runs record no raw event trace; the timeline still gets partition, flow, and sampler tracks");
+                }
+                plan.with_exec(Exec::Pdes(PdesSpec {
+                    mode: self.epoch_mode,
+                    ..PdesSpec::new(partitions, self.machines, 64)
+                }))
+            }
+            None => {
+                let mut plan = plan;
+                plan.observe.trace = self.build_trace(flows);
+                plan
+            }
+        }
     }
 
     /// The event trace to install, if any: `--trace N` keeps the first N;
@@ -354,281 +413,290 @@ impl Opts {
         self.sample_every.map(|d| NetSampler::new(d, flows))
     }
 
-    /// Where `--sample-every` writes its CSV: next to the timeline when
-    /// `--trace-out` is set, else `samples.csv` in the working directory.
-    fn samples_path(&self) -> String {
-        match &self.trace_out {
-            Some(p) => format!("{}.samples.csv", p.trim_end_matches(".json")),
-            None => "samples.csv".into(),
+    /// The oracle stack the flags ask for: `--oracle-cache[-cap]`, and a
+    /// guard from the `--guard-*` knobs unless `--no-guard`.
+    fn stack_spec(&self) -> StackSpec {
+        StackSpec {
+            cache_cap: self.oracle_cache.then_some(self.oracle_cache_cap),
+            guard: (!self.no_guard).then(|| GuardConfig {
+                latency_ceiling: SimDuration::from_secs_f64(self.guard_ceiling_ms / 1e3),
+                drop_rate_tolerance: self.guard_tolerance,
+                trip_limit: self.guard_trip_limit,
+                ..Default::default()
+            }),
         }
     }
 
-    fn load_model(&self) -> ClusterModel {
-        let path = self.model.as_deref().unwrap_or_else(|| {
-            eprintln!("--model PATH is required for this command");
-            exit(2)
-        });
-        let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
+    /// `--fault-oracle`'s deliberately faulty primary, which the guard
+    /// (unless `--no-guard`) wraps in place of the learned oracle.
+    fn fault_primary(&self) -> Option<Box<dyn ClusterOracle + Send>> {
+        let mode = self.fault_oracle?;
+        println!(
+            "fault drill: oracle emits {mode:?} latency every {} verdicts",
+            self.fault_every
+        );
+        Some(Box::new(FaultyOracle::new(
+            mode,
+            self.fault_every,
+            SimDuration::from_micros(5),
+        )))
+    }
+}
+
+fn net_config(dctcp: bool, scope: RttScope) -> NetConfig {
+    NetConfig {
+        tcp: if dctcp {
+            TcpConfig::dctcp()
+        } else {
+            TcpConfig::default()
+        },
+        rtt_scope: scope,
+        ..Default::default()
+    }
+}
+
+/// Where a hybrid's model comes from: a `--model` flag (exit 3/4 on
+/// failure), else a scenario's `[model] path` binding (exit 6 naming the
+/// binding's `file:line`), else — when `fallback` allows — a quick-trained
+/// default model.
+struct ModelSource<'a> {
+    flag: Option<&'a str>,
+    binding: Option<(&'a str, &'a HybridSpec)>,
+    fallback: bool,
+}
+
+/// Resolves a hybrid's model, then resets the metrics registry and the
+/// span profile: the fallback's capture and training are not part of the
+/// run that follows.
+fn resolve_model(src: ModelSource<'_>, seed: u64, dctcp: bool, load: f64) -> ClusterModel {
+    let model = load_model(&src).unwrap_or_else(|| quick_default_model(seed, dctcp, load));
+    elephant::obs::registry().reset();
+    elephant::obs::profiler().reset();
+    model
+}
+
+/// Loads the artifact `src` names, or `None` when the fallback should
+/// train one.
+fn load_model(src: &ModelSource<'_>) -> Option<ClusterModel> {
+    if let Some(p) = src.flag {
+        let json = std::fs::read_to_string(p).unwrap_or_else(|e| {
             die(ElephantError::Io {
-                path: path.to_string(),
+                path: p.to_string(),
                 source: e,
             })
         });
-        ClusterModel::load_json(&json).unwrap_or_else(|e| die(e))
+        return Some(ClusterModel::load_json(&json).unwrap_or_else(|e| die(e)));
     }
-
-    fn guard_config(&self, model: &ClusterModel) -> GuardConfig {
-        GuardConfig {
-            latency_ceiling: SimDuration::from_secs_f64(self.guard_ceiling_ms / 1e3),
-            // A model trained on real records carries its drop rate; use it
-            // as the center of the drift band. Legacy artifacts (zeroed
-            // meta) disable the check.
-            expected_drop_rate: (model.meta.train_records > 0)
-                .then_some(model.meta.train_drop_rate),
-            drop_rate_tolerance: self.guard_tolerance,
-            trip_limit: self.guard_trip_limit,
-            ..Default::default()
+    let scenario_err = |detail: String| -> ElephantError {
+        let (path, spec) = src.binding.expect("scenario errors need a binding");
+        ElephantError::Scenario {
+            path: path.to_string(),
+            line: spec.model_line,
+            detail,
         }
-    }
-
-    /// Assembles the oracle stack for hybrid runs: the learned oracle (or
-    /// a deliberately faulty one, under `--fault-oracle`), wrapped in a
-    /// [`GuardedOracle`] unless `--no-guard` asked for bare metal. The
-    /// verdict cache (`--oracle-cache`) lives *inside* the learned oracle,
-    /// under the guard, so guard validation sees every served verdict.
-    fn build_oracle(
-        &self,
-        model: ClusterModel,
-        params: ClosParams,
-    ) -> (
-        Box<dyn ClusterOracle + Send>,
-        Option<GuardStatsHandle>,
-        Option<CacheStatsHandle>,
-    ) {
-        let meta = model.meta;
-        let guard_cfg = self.guard_config(&model);
-        let mut cache = None;
-        let primary: Box<dyn ClusterOracle + Send> = match self.fault_oracle {
-            None if self.oracle_cache => {
-                let oracle = LearnedOracle::with_cache(
-                    model,
-                    params,
-                    DropPolicy::Sample,
-                    self.seed ^ 0xE1E,
-                    self.oracle_cache_cap,
-                );
-                cache = oracle.cache_stats_handle();
-                Box::new(oracle)
-            }
-            None => Box::new(LearnedOracle::new(
-                model,
-                params,
-                DropPolicy::Sample,
-                self.seed ^ 0xE1E,
-            )),
-            Some(mode) => {
+    };
+    match src.binding.and_then(|(_, spec)| spec.model_path.as_deref()) {
+        Some(p) => match std::fs::read_to_string(p) {
+            Ok(json) => Some(
+                ClusterModel::load_json(&json)
+                    .unwrap_or_else(|e| die(scenario_err(format!("model artifact `{p}`: {e}")))),
+            ),
+            Err(e) if src.fallback && e.kind() == std::io::ErrorKind::NotFound => {
                 println!(
-                    "fault drill: oracle emits {mode:?} latency every {} verdicts",
-                    self.fault_every
+                    "model artifact `{p}` does not exist; capturing + training a small \
+                     default model (train_fallback) ..."
                 );
-                Box::new(FaultyOracle::new(
-                    mode,
-                    self.fault_every,
-                    SimDuration::from_micros(5),
-                ))
+                None
             }
-        };
-        if self.no_guard {
-            return (primary, None, cache);
-        }
-        // The fallback delivers at the training-time median latency when
-        // the artifact records one, else a generic fabric traversal.
-        let fallback_latency = if meta.train_latency_p50 > 0.0 {
-            SimDuration::from_secs_f64(meta.train_latency_p50)
-        } else {
-            SimDuration::from_micros(50)
-        };
-        let guarded = GuardedOracle::new(
-            primary,
-            Box::new(FixedLatencyOracle(fallback_latency)),
-            guard_cfg,
-        );
-        let handle = guarded.stats_handle();
-        (Box::new(guarded), Some(handle), cache)
-    }
-}
-
-/// Prints the post-run verdict-cache summary and mirrors it into the
-/// metrics registry (so `--metrics-out` reports carry `hybrid/cache/*`).
-fn report_cache(handle: &Option<CacheStatsHandle>) {
-    let Some(h) = handle else { return };
-    h.publish_metrics();
-    let s = h.snapshot();
-    println!(
-        "  cache     : {} lookups, {:.1}% hit rate ({} evictions, {} invalidations)",
-        s.lookups(),
-        s.hit_rate() * 100.0,
-        s.evictions,
-        s.invalidations
-    );
-}
-
-/// Per-partition verdict caches (PDES hybrid): publishes each handle's
-/// metrics and prints the fleet total.
-fn report_cache_fleet(handles: &[CacheStatsHandle]) {
-    if handles.is_empty() {
-        return;
-    }
-    let mut total = CacheStats::default();
-    for h in handles {
-        h.publish_metrics();
-        let s = h.snapshot();
-        total.hits += s.hits;
-        total.misses += s.misses;
-        total.evictions += s.evictions;
-        total.invalidations += s.invalidations;
-    }
-    println!(
-        "  cache     : {} lookups across {} partitions, {:.1}% hit rate \
-         ({} evictions, {} invalidations)",
-        total.lookups(),
-        handles.len(),
-        total.hit_rate() * 100.0,
-        total.evictions,
-        total.invalidations
-    );
-}
-
-/// Prints the post-run guardrail summary and mirrors it into the metrics
-/// registry (so `--metrics-out` reports carry `hybrid/guard/*`).
-fn report_guard(handle: &Option<GuardStatsHandle>) {
-    let Some(h) = handle else { return };
-    h.publish_metrics();
-    let s = h.snapshot();
-    if s.trips() == 0 {
-        println!(
-            "  guardrail : {} verdicts, no trips (bit-identical to unguarded)",
-            s.verdicts
-        );
-    } else {
-        println!(
-            "  guardrail : {} trips in {} verdicts (non-finite {}, negative {}, \
-             ceiling {}, drop-drift {}); {} fallback verdicts{}",
-            s.trips(),
-            s.verdicts,
-            s.non_finite,
-            s.negative,
-            s.ceiling,
-            s.drop_drift,
-            s.fallback_verdicts,
-            if s.fallback_active {
-                "; primary ABANDONED (trip limit)"
-            } else {
-                ""
-            }
-        );
-    }
-}
-
-/// Post-run observability export: the samples CSV (when sampling) and the
-/// Chrome-trace timeline (when `--trace-out` is set), with flow tracks,
-/// drop/oracle instants from the nets' traces, and guard-trip instants
-/// from the guard's log.
-fn finish_observability(
-    o: &Opts,
-    nets: &[&Network],
-    guard: &Option<GuardStatsHandle>,
-    sampler: Option<&NetSampler>,
-) {
-    if let Some(s) = sampler {
-        let path = o.samples_path();
-        match write_csv(&path, &SAMPLE_CSV_HEADER, s.rows()) {
-            Ok(()) => println!("wrote {path} ({} samples)", s.rows().len()),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                exit(3)
-            }
-        }
-    }
-    let Some(path) = &o.trace_out else { return };
-    elephant::net::export_flow_timeline_multi(nets, MAX_FLOW_TRACKS);
-    let tl = elephant::obs::timeline();
-    if let Some(h) = guard {
-        for (t, v) in h.trip_events() {
-            tl.record(
-                TraceRecord::instant(PID_FLOWS, 0, "guard_trip", t.as_nanos() as f64 / 1e3)
-                    .category("guard")
-                    .arg("kind", format!("{v:?}")),
-            );
-        }
-    }
-    let writer = TimelineWriter::from_timeline(tl);
-    match writer.save(std::path::Path::new(path)) {
-        Ok(()) => {
-            let dropped = tl.dropped();
+            Err(e) => die(scenario_err(format!("model artifact `{p}`: {e}"))),
+        },
+        None if src.fallback => {
             println!(
-                "wrote {path} ({} trace records{}) — open in https://ui.perfetto.dev or chrome://tracing",
-                tl.len(),
-                if dropped > 0 {
-                    format!(", {dropped} dropped at capacity")
-                } else {
-                    String::new()
-                }
+                "no model artifact given; capturing + training a small default model first ..."
             );
+            None
         }
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            exit(3)
+        None if src.binding.is_some() => die(scenario_err(
+            "[model] names no `path` and `train_fallback` is false; \
+             pass --model or bind an artifact"
+                .into(),
+        )),
+        None => {
+            eprintln!("--model PATH is required for this command");
+            exit(2)
         }
     }
 }
 
-/// PDES counterpart of [`print_summary`]: the merged kernel report plus a
-/// per-partition wall-time breakdown (the timeline has the per-epoch view).
-fn print_pdes_summary(run: &PdesRun, horizon: SimTime) {
-    println!(
-        "\nsimulated {:.3}s under PDES in {:.2}s wall ({} events, {} epochs ({} jumped), {} partitions)",
-        horizon.as_secs_f64(),
-        run.wall.as_secs_f64(),
-        run.report.events_executed,
-        run.report.epochs,
-        run.report.epochs_jumped,
-        run.report.partitions.len()
-    );
-    println!(
-        "  flows     : {} completed across partitions",
-        run.flows_completed()
-    );
-    if run.oracle_deliveries() > 0 {
-        println!(
-            "  oracle    : {} packets teleported",
-            run.oracle_deliveries()
-        );
-    }
-    for p in &run.report.partitions {
-        println!(
-            "  partition {:>2}: {:>9} events | work {:.3}s | barrier {:.3}s | marshal {:.3}s",
-            p.partition, p.events, p.work_seconds, p.barrier_wait_seconds, p.marshal_seconds
-        );
-    }
-    print_fault_line(&run.report.faults);
+/// Captures a short two-cluster ground truth and trains a deliberately
+/// small model — the hybrid fallback when no artifact is bound.
+fn quick_default_model(seed: u64, dctcp: bool, load: f64) -> ClusterModel {
+    let params = ClosParams::paper_cluster(2);
+    let horizon = SimTime::from_millis(30);
+    let mut wl = WorkloadConfig::paper_default(horizon, seed);
+    wl.load = load;
+    let flows = generate(&params, &wl);
+    let cfg = net_config(dctcp, RttScope::None);
+    let (net, _) = run_ground_truth(params, cfg, Some(1), &flows, horizon);
+    let records = capture_records(net).unwrap_or_else(|e| die(e));
+    let opts = TrainingOptions {
+        hidden: 16,
+        layers: 1,
+        epochs: 4,
+        ..Default::default()
+    };
+    let (model, _) = train_cluster_model(&records, &params, &opts);
+    model
 }
 
-/// The `[faults]` injection tally, printed whenever a run injected any.
-fn print_fault_line(f: &FaultCounts) {
-    if f.total() > 0 {
-        println!(
-            "  faults    : {} injected (dropped {}, duplicated {}, corrupted {})",
-            f.total(),
-            f.dropped,
-            f.duplicated,
-            f.corrupted
-        );
-    }
+/// Observer handles of the oracles a factory built.
+#[derive(Default)]
+struct Handles {
+    /// The sequential world's guard.
+    guard: Option<GuardStatsHandle>,
+    /// The verdict caches: the sequential world's, or every PDES
+    /// partition's.
+    caches: Vec<CacheStatsHandle>,
 }
 
-/// Post-run summary for a supervised (checkpoint + retry ladder) run.
-fn print_supervised_summary(run: &SupervisedRun, horizon: SimTime) {
+/// The hybrid's oracle factory. The sequential world gets the full stack
+/// seeded `seed ^ 0xE1E`, with `primary` (a fault drill) under the guard
+/// when given; PDES partition `p` gets an unguarded learned oracle seeded
+/// `(seed ^ 0xE1E) + p` (per-partition guard stats are not aggregated).
+fn oracles<'a>(
+    model: ClusterModel,
+    params: ClosParams,
+    seed: u64,
+    spec: StackSpec,
+    mut primary: Option<Box<dyn ClusterOracle + Send>>,
+    handles: &'a RefCell<Handles>,
+) -> OracleFactory<'a> {
+    let seed = seed ^ 0xE1E;
+    Box::new(move |partition| {
+        let mut h = handles.borrow_mut();
+        match partition {
+            None => {
+                let stack = oracle_stack(model.clone(), params, seed, &spec, primary.take());
+                h.guard = stack.guard;
+                h.caches.extend(stack.cache);
+                stack.oracle
+            }
+            Some(p) => {
+                let unguarded = StackSpec {
+                    guard: None,
+                    ..spec.clone()
+                };
+                let seed = seed.wrapping_add(p as u64);
+                let stack = oracle_stack(model.clone(), params, seed, &unguarded, None);
+                h.caches.extend(stack.cache);
+                stack.oracle
+            }
+        }
+    })
+}
+
+/// How a command's report and ledger name its run, and where its run
+/// artifacts go.
+struct Outputs {
+    /// Run-report name.
+    name: String,
+    /// Run-report scenario description.
+    scenario: String,
+    /// The run's seed.
+    seed: u64,
+    /// Print the metrics report.
+    profile: bool,
+    /// Seal a run ledger here.
+    metrics_out: Option<String>,
+    /// Where a sampler's CSV goes.
+    samples_out: String,
+    /// Write a Chrome-trace timeline here.
+    trace_out: Option<String>,
+}
+
+/// What a ledger records besides the run report.
+struct LedgerTags<'a> {
+    driver: &'a str,
+    mode: &'a str,
+    fingerprint: u64,
+    recovery: Vec<String>,
+    divergence: Option<DivergenceReport>,
+}
+
+/// The one run path every simulating command shares: executes `plan`
+/// (driving `sampler` when given), prints the summary, the oracle and
+/// fault reports and the fingerprint, then writes the samples CSV, the
+/// timeline and the report/ledger.
+fn run_and_report(
+    plan: RunPlan<'_>,
+    mut sampler: Option<NetSampler>,
+    handles: &RefCell<Handles>,
+    out: &Outputs,
+    print_trace: bool,
+) {
+    let horizon = plan.horizon;
+    let hybrid = matches!(plan.world, WorldSpec::Hybrid { .. });
+    let (faults, mode) = match &plan.exec {
+        Exec::Pdes(spec) => (
+            spec.faults.clone(),
+            format!("{:?}", spec.mode).to_lowercase(),
+        ),
+        Exec::Sequential => (None, "sequential".to_string()),
+    };
+    let driver = match (hybrid, &plan.exec, plan.recovery.is_some()) {
+        (false, _, true) => "supervised",
+        (false, Exec::Pdes(_), false) => "pdes",
+        (false, Exec::Sequential, false) => "sequential",
+        (true, _, true) => "hybrid-supervised",
+        (true, Exec::Pdes(_), false) => "hybrid-pdes",
+        (true, Exec::Sequential, false) => "hybrid",
+    };
+    let mut plan = plan;
+    plan.observe.sampler = sampler.as_mut();
+    let run = execute(plan).unwrap_or_else(|e| die(e));
+
+    print_outcome(&run, horizon);
+    if print_trace {
+        print_trace_sample(&run.nets[0]);
+    }
+    let h = handles.borrow();
+    // Handles would outlive checkpoint restores (a restored net carries a
+    // deep-copied oracle stack), so supervised runs report recovery state
+    // instead of guard/cache stats.
+    let supervised = run.recovery.is_some();
+    let guard = if supervised { &None } else { &h.guard };
+    if !supervised {
+        report_guard(guard);
+        report_caches(&h.caches);
+    }
+    report_fault_counts(faults.as_ref(), run.report.as_ref().map(|r| r.faults));
+    let fingerprint = run_fingerprint(run.nets.iter());
+    println!("  fingerprint: {fingerprint:#018x}");
+    let nets: Vec<&Network> = run.nets.iter().collect();
+    finish_observability(out, &nets, guard, sampler.as_ref());
+    let recovery = run.recovery.as_ref().map_or_else(Vec::new, |log| {
+        let mut lines = vec![log.summary()];
+        lines.extend(log.transitions.iter().map(|t| format!("{t:?}")));
+        lines
+    });
+    let tags = LedgerTags {
+        driver,
+        mode: &mode,
+        fingerprint,
+        recovery,
+        divergence: None,
+    };
+    emit_report(out, &run.meta, run.partition_rows(), tags);
+}
+
+/// The post-run summary. Sequential runs print the network's statistics;
+/// PDES and supervised runs print the kernel report (with a per-partition
+/// wall-time breakdown — the timeline has the per-epoch view) and the
+/// recovery log.
+fn print_outcome(run: &RunOutcome, horizon: SimTime) {
+    if run.report.is_none() && run.recovery.is_none() {
+        return print_summary(&run.nets[0], &run.meta);
+    }
     let engine = match &run.report {
         Some(r) => format!(
             "{} epochs ({} jumped), {} partitions",
@@ -639,130 +707,47 @@ fn print_supervised_summary(run: &SupervisedRun, horizon: SimTime) {
         None => "sequential".to_string(),
     };
     println!(
-        "\nsimulated {:.3}s supervised in {:.2}s wall ({} events, {engine})",
+        "\nsimulated {:.3}s {} in {:.2}s wall ({} events, {engine})",
         horizon.as_secs_f64(),
-        run.wall.as_secs_f64(),
-        run.events,
+        if run.recovery.is_some() {
+            "supervised"
+        } else {
+            "under PDES"
+        },
+        run.meta.wall.as_secs_f64(),
+        run.events(),
     );
-    let completed: u64 = run.nets.iter().map(|n| n.stats.flows_completed).sum();
-    println!("  flows     : {completed} completed");
-    if let Some(r) = &run.report {
-        print_fault_line(&r.faults);
-    }
-    println!("  {}", run.log.summary());
-}
-
-/// Mirrors `FaultCounts` into `fault/*` metrics and warns when a plan with
-/// probabilistic message faults fired none of them (horizon too short, or
-/// too little cross-machine traffic for the configured probabilities).
-/// Scripted stalls/slowdowns are excluded: they manifest through the
-/// watchdog and the recovery ladder, not through injection counts.
-fn report_fault_counts(plan: Option<&FaultPlan>, counts: Option<FaultCounts>) {
-    let Some(counts) = counts else { return };
-    elephant::obs::counter("fault/dropped", "").add(counts.dropped);
-    elephant::obs::counter("fault/duplicated", "").add(counts.duplicated);
-    elephant::obs::counter("fault/corrupted", "").add(counts.corrupted);
-    if let Some(p) = plan {
-        let probabilistic = p.drop_prob > 0.0 || p.dup_prob > 0.0 || p.corrupt_prob > 0.0;
-        if probabilistic && counts.total() == 0 {
-            eprintln!(
-                "warning: the [faults] plan was active but injected zero faults; \
-                 the run exercised no failure paths (extend the horizon, raise the \
-                 probabilities, or add cross-machine traffic)"
-            );
-            elephant::obs::counter("fault/zero_injected", "").inc();
-        }
-    }
-}
-
-fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value for {flag}: {s}");
-        exit(2)
-    })
-}
-
-/// Seals and writes a schema-v1 [`RunLedger`] wrapping `report` — the one
-/// artifact shape every driver's `--metrics-out`/`--ledger-out` emits, and
-/// the input `elephant compare A.json B.json` diffs.
-#[allow(clippy::too_many_arguments)] // an artifact spec, not an API surface
-fn write_ledger(
-    path: &str,
-    driver: &str,
-    mode: &str,
-    seed: u64,
-    fingerprint: u64,
-    recovery: Vec<String>,
-    divergence: Option<DivergenceReport>,
-    report: RunReport,
-) {
-    let mut ledger = RunLedger::new(driver, report);
-    ledger.scenario = ledger.report.scenario.clone();
-    ledger.seed = seed;
-    ledger.fingerprint = fingerprint;
-    ledger.mode = mode.to_string();
-    ledger.recovery = recovery;
-    ledger.divergence = divergence;
-    match ledger.save(std::path::Path::new(path)) {
-        Ok(()) => println!("wrote {path} (schema-v{LEDGER_SCHEMA_VERSION} run ledger)"),
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            exit(3)
-        }
-    }
-}
-
-/// Builds the run report from the global registry/profiler, prints it when
-/// `--profile` is set, and writes a sealed run ledger when `--metrics-out`
-/// is set. Sequential runs get one zero-wait partition row so the schema
-/// matches PDES reports.
-fn emit_metrics(
-    o: &Opts,
-    name: &str,
-    scenario: String,
-    meta: Option<&elephant::core::RunMeta>,
-    fingerprint: u64,
-) {
-    if !o.observing() {
-        return;
-    }
-    let mut report = RunReport::new(name, scenario);
-    if let Some(m) = meta {
-        report.set_run(m.wall.as_secs_f64(), m.events, m.sim_seconds);
-        report.partitions = vec![elephant::obs::PartitionRow {
-            partition: 0,
-            events: m.events,
-            work_seconds: m.wall.as_secs_f64(),
-            ..Default::default()
-        }
-        .finish()];
-    }
-    report.gather();
-    if o.profile {
-        println!("\n{}", report.to_table());
-    }
-    if let Some(path) = &o.metrics_out {
-        let (driver, mode) = match name {
-            "run" => ("sequential", "full-fidelity"),
-            "run-pdes" => ("pdes", "full-fidelity"),
-            "hybrid" => ("hybrid", "sequential"),
-            "hybrid-pdes" => ("hybrid", "pdes"),
-            other => (other, ""),
-        };
-        write_ledger(
-            path,
-            driver,
-            mode,
-            o.seed,
-            fingerprint,
-            Vec::new(),
-            None,
-            report,
+    println!("  flows     : {} completed", run.flows_completed());
+    if run.oracle_deliveries() > 0 {
+        println!(
+            "  oracle    : {} packets teleported",
+            run.oracle_deliveries()
         );
     }
+    if let Some(report) = &run.report {
+        for p in &report.partitions {
+            println!(
+                "  partition {:>2}: {:>9} events | work {:.3}s | barrier {:.3}s | marshal {:.3}s",
+                p.partition, p.events, p.work_seconds, p.barrier_wait_seconds, p.marshal_seconds
+            );
+        }
+        let f = &report.faults;
+        if f.total() > 0 {
+            println!(
+                "  faults    : {} injected (dropped {}, duplicated {}, corrupted {})",
+                f.total(),
+                f.dropped,
+                f.duplicated,
+                f.corrupted
+            );
+        }
+    }
+    if let Some(log) = &run.recovery {
+        println!("  {}", log.summary());
+    }
 }
 
-fn print_summary(net: &Network, meta: &elephant::core::RunMeta) {
+fn print_summary(net: &Network, meta: &RunMeta) {
     let s = &net.stats;
     println!(
         "\nsimulated {:.3}s in {:.2}s wall ({} events)",
@@ -830,6 +815,181 @@ fn print_trace_sample(net: &Network) {
     }
 }
 
+/// Prints the post-run verdict-cache summary — one cache, or the total
+/// over a PDES fleet — and mirrors each cache into the metrics registry
+/// (so `--metrics-out` reports carry `hybrid/cache/*`).
+fn report_caches(handles: &[CacheStatsHandle]) {
+    if handles.is_empty() {
+        return;
+    }
+    let mut total = CacheStats::default();
+    for h in handles {
+        h.publish_metrics();
+        let s = h.snapshot();
+        total.hits += s.hits;
+        total.misses += s.misses;
+        total.evictions += s.evictions;
+        total.invalidations += s.invalidations;
+    }
+    println!(
+        "  cache     : {} lookups{}, {:.1}% hit rate ({} evictions, {} invalidations)",
+        total.lookups(),
+        match handles.len() {
+            1 => String::new(),
+            n => format!(" across {n} partitions"),
+        },
+        total.hit_rate() * 100.0,
+        total.evictions,
+        total.invalidations
+    );
+}
+
+/// Prints the post-run guardrail summary and mirrors it into the metrics
+/// registry (so `--metrics-out` reports carry `hybrid/guard/*`).
+fn report_guard(handle: &Option<GuardStatsHandle>) {
+    let Some(h) = handle else { return };
+    h.publish_metrics();
+    let s = h.snapshot();
+    if s.trips() == 0 {
+        println!(
+            "  guardrail : {} verdicts, no trips (bit-identical to unguarded)",
+            s.verdicts
+        );
+    } else {
+        println!(
+            "  guardrail : {} trips in {} verdicts (non-finite {}, negative {}, \
+             ceiling {}, drop-drift {}); {} fallback verdicts{}",
+            s.trips(),
+            s.verdicts,
+            s.non_finite,
+            s.negative,
+            s.ceiling,
+            s.drop_drift,
+            s.fallback_verdicts,
+            if s.fallback_active {
+                "; primary ABANDONED (trip limit)"
+            } else {
+                ""
+            }
+        );
+    }
+}
+
+/// Mirrors `FaultCounts` into `fault/*` metrics and warns when a plan with
+/// probabilistic message faults fired none of them (horizon too short, or
+/// too little cross-machine traffic for the configured probabilities).
+/// Scripted stalls/slowdowns are excluded: they manifest through the
+/// watchdog and the recovery ladder, not through injection counts.
+fn report_fault_counts(plan: Option<&FaultPlan>, counts: Option<FaultCounts>) {
+    let (Some(p), Some(counts)) = (plan, counts) else {
+        return;
+    };
+    elephant::obs::counter("fault/dropped", "").add(counts.dropped);
+    elephant::obs::counter("fault/duplicated", "").add(counts.duplicated);
+    elephant::obs::counter("fault/corrupted", "").add(counts.corrupted);
+    let probabilistic = p.drop_prob > 0.0 || p.dup_prob > 0.0 || p.corrupt_prob > 0.0;
+    if probabilistic && counts.total() == 0 {
+        eprintln!(
+            "warning: the [faults] plan was active but injected zero faults; \
+             the run exercised no failure paths (extend the horizon, raise the \
+             probabilities, or add cross-machine traffic)"
+        );
+        elephant::obs::counter("fault/zero_injected", "").inc();
+    }
+}
+
+/// Post-run observability export: the samples CSV (when sampling) and the
+/// Chrome-trace timeline (when `--trace-out` is set), with flow tracks,
+/// drop/oracle instants from the nets' traces, and guard-trip instants
+/// from the guard's log.
+fn finish_observability(
+    out: &Outputs,
+    nets: &[&Network],
+    guard: &Option<GuardStatsHandle>,
+    sampler: Option<&NetSampler>,
+) {
+    if let Some(s) = sampler {
+        let path = &out.samples_out;
+        match write_csv(path, &SAMPLE_CSV_HEADER, s.rows()) {
+            Ok(()) => println!("wrote {path} ({} samples)", s.rows().len()),
+            Err(e) => {
+                eprintln!("cannot write {path}: {e}");
+                exit(3)
+            }
+        }
+    }
+    let Some(path) = &out.trace_out else { return };
+    elephant::net::export_flow_timeline_multi(nets, MAX_FLOW_TRACKS);
+    let tl = elephant::obs::timeline();
+    if let Some(h) = guard {
+        for (t, v) in h.trip_events() {
+            tl.record(
+                TraceRecord::instant(PID_FLOWS, 0, "guard_trip", t.as_nanos() as f64 / 1e3)
+                    .category("guard")
+                    .arg("kind", format!("{v:?}")),
+            );
+        }
+    }
+    let writer = TimelineWriter::from_timeline(tl);
+    match writer.save(std::path::Path::new(path)) {
+        Ok(()) => {
+            let dropped = tl.dropped();
+            println!(
+                "wrote {path} ({} trace records{}) — open in https://ui.perfetto.dev or chrome://tracing",
+                tl.len(),
+                if dropped > 0 {
+                    format!(", {dropped} dropped at capacity")
+                } else {
+                    String::new()
+                }
+            );
+        }
+        Err(e) => {
+            eprintln!("cannot write {path}: {e}");
+            exit(3)
+        }
+    }
+}
+
+/// The one ledger epilogue: builds the run report from the registry and
+/// profiler, prints it under `--profile`, and seals it as a run ledger
+/// under `--metrics-out`.
+fn emit_report(out: &Outputs, meta: &RunMeta, partitions: Vec<PartitionRow>, tags: LedgerTags<'_>) {
+    if !out.profile && out.metrics_out.is_none() {
+        return;
+    }
+    let mut report = RunReport::new(&out.name, out.scenario.clone());
+    report.set_run(meta.wall.as_secs_f64(), meta.events, meta.sim_seconds);
+    report.partitions = partitions;
+    report.gather();
+    if out.profile {
+        println!("\n{}", report.to_table());
+    }
+    if let Some(path) = &out.metrics_out {
+        write_ledger(path, out.seed, tags, report);
+    }
+}
+
+/// Seals and writes a schema-v1 [`RunLedger`] wrapping `report` — the one
+/// artifact shape every driver's `--metrics-out`/`--ledger-out` emits, and
+/// the input `elephant compare A.json B.json` diffs.
+fn write_ledger(path: &str, seed: u64, tags: LedgerTags<'_>, report: RunReport) {
+    let mut ledger = RunLedger::new(tags.driver, report);
+    ledger.scenario = ledger.report.scenario.clone();
+    ledger.seed = seed;
+    ledger.fingerprint = tags.fingerprint;
+    ledger.mode = tags.mode.to_string();
+    ledger.recovery = tags.recovery;
+    ledger.divergence = tags.divergence;
+    match ledger.save(std::path::Path::new(path)) {
+        Ok(()) => println!("wrote {path} (schema-v{LEDGER_SCHEMA_VERSION} run ledger)"),
+        Err(e) => {
+            eprintln!("cannot write {path}: {e}");
+            exit(3)
+        }
+    }
+}
+
 fn cmd_run(o: &Opts) {
     let params = o.params();
     let flows = o.workload(&params, o.seed);
@@ -840,106 +1000,251 @@ fn cmd_run(o: &Opts) {
         flows.len(),
         o.horizon
     );
-    let mut sampler = o.build_sampler(&flows);
-
-    if let Some(partitions) = o.pdes {
-        if o.trace.is_some() || o.trace_out.is_some() {
-            println!("note: --pdes runs record no raw event trace; the timeline still gets partition, flow, and sampler tracks");
-        }
-        let run = run_pdes_full(
-            params,
-            &flows,
-            o.horizon,
-            partitions,
-            o.machines,
-            64,
-            o.epoch_mode,
-            None,
-            sampler.as_mut(),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("elephant: PDES run failed: {e}");
-            exit(5)
-        });
-        print_pdes_summary(&run, o.horizon);
-        let nets: Vec<&Network> = run.nets.iter().collect();
-        finish_observability(o, &nets, &None, sampler.as_ref());
-        let meta = elephant::core::RunMeta {
-            wall: run.wall,
-            events: run.report.events_executed,
-            sim_seconds: o.horizon.as_secs_f64(),
-        };
-        emit_metrics(
-            o,
+    let plan = o.plan(&flows, WorldSpec::Truth { capture: None }, RttScope::All);
+    let out = match o.pdes {
+        Some(partitions) => o.outputs(
             "run-pdes",
             format!(
                 "full fidelity, {} clusters, {partitions} partitions, seed {}",
                 o.clusters, o.seed
             ),
-            Some(&meta),
-            run_fingerprint(run.nets.iter()),
-        );
-        return;
-    }
-
-    // Tracing needs direct Simulator access rather than the runner helper.
-    let topo = std::sync::Arc::new(elephant::net::Topology::clos(params));
-    let mut net = Network::new(topo, o.net_config(RttScope::All));
-    if let Some(t) = o.build_trace(&flows) {
-        net.install_trace(t);
-    }
-    let mut sim = elephant::des::Simulator::new(net);
-    elephant::net::schedule_flows(&mut sim, &flows);
-    let t0 = std::time::Instant::now();
-    match sampler.as_mut() {
-        Some(s) => {
-            elephant::net::run_sampled(&mut sim, o.horizon, s);
-        }
-        None => {
-            sim.run_until(o.horizon);
-        }
-    }
-    let meta = elephant::core::RunMeta {
-        wall: t0.elapsed(),
-        events: sim.scheduler().executed_total(),
-        sim_seconds: o.horizon.as_secs_f64(),
+        ),
+        None => o.outputs(
+            "run",
+            format!("full fidelity, {} clusters, seed {}", o.clusters, o.seed),
+        ),
     };
-    print_summary(sim.world(), &meta);
-    if o.trace.is_some() {
-        print_trace_sample(sim.world());
-    }
-    finish_observability(o, &[sim.world()], &None, sampler.as_ref());
-    emit_metrics(
-        o,
-        "run",
-        format!("full fidelity, {} clusters, seed {}", o.clusters, o.seed),
-        Some(&meta),
-        run_fingerprint([sim.world()]),
-    );
+    let sampler = o.build_sampler(&flows);
+    run_and_report(plan, sampler, &RefCell::default(), &out, o.trace.is_some());
 }
 
-/// `run-scenario FILE`: load, validate, compile, and run a declarative
-/// scenario. Scenario errors exit with code 6 and name the offending
-/// `file:line`; missing files exit 3.
-fn cmd_run_scenario(args: &[String]) {
-    use elephant::scenario::{compile, list_scenarios, load, CompileOverrides};
+fn cmd_train(o: &Opts) {
+    let params = o.params_at(2);
+    let flows = o.workload(&params, o.seed);
+    println!(
+        "capturing ground truth: 2 clusters, {} flows, horizon {} ...",
+        flows.len(),
+        o.horizon
+    );
+    let (net, meta) = run_ground_truth(
+        params,
+        o.net_config(RttScope::None),
+        Some(1),
+        &flows,
+        o.horizon,
+    );
+    let records = capture_records(net).unwrap_or_else(|e| die(e));
+    println!(
+        "  {} events, {} boundary records",
+        meta.events,
+        records.len()
+    );
 
-    let mut file: Option<String> = None;
-    let mut over = CompileOverrides::default();
-    let mut validate = false;
-    let mut pdes = false;
-    let mut partitions: Option<usize> = None;
-    let mut epoch_mode = EpochMode::Adaptive;
-    let mut sample_every: Option<SimDuration> = None;
-    let mut samples_out: Option<String> = None;
-    let mut list_dir: Option<String> = None;
-    let mut checkpoint_every_ms: Option<f64> = None;
-    let mut max_retries: Option<u32> = None;
-    let mut profile = false;
-    let mut metrics_out: Option<String> = None;
-    let mut model_flag: Option<String> = None;
-    let mut audit = false;
+    let opts = TrainingOptions {
+        hidden: o.hidden,
+        layers: o.layers,
+        epochs: o.epochs,
+        rnn: if o.gru { RnnKind::Gru } else { RnnKind::Lstm },
+        ..Default::default()
+    };
+    let trunk = if o.gru { "GRU" } else { "LSTM" };
+    println!(
+        "training {}x{} {trunk} for {} epochs ...",
+        o.layers, o.hidden, o.epochs
+    );
+    let (model, report) = train_cluster_model(&records, &params, &opts);
+    println!(
+        "  up:   {} samples | drop accuracy {:.3} | latency rmse {:.3}",
+        report.up.train_samples, report.up.eval.drop_accuracy, report.up.eval.latency_rmse
+    );
+    println!(
+        "  down: {} samples | drop accuracy {:.3} | latency rmse {:.3}",
+        report.down.train_samples, report.down.eval.drop_accuracy, report.down.eval.latency_rmse
+    );
+    std::fs::write(&o.out, model.to_file_json()).unwrap_or_else(|e| {
+        die(ElephantError::Io {
+            path: o.out.clone(),
+            source: e,
+        })
+    });
+    println!(
+        "wrote {} (format v{}, checksum {:#018x})",
+        o.out,
+        elephant::core::MODEL_VERSION,
+        model.weight_checksum()
+    );
+    let out = o.outputs(
+        "train",
+        format!(
+            "capture + {}x{} {trunk} training, seed {}",
+            o.layers, o.hidden, o.seed
+        ),
+    );
+    // The captured net was consumed by training; no fingerprint.
+    let tags = LedgerTags {
+        driver: "train",
+        mode: "",
+        fingerprint: 0,
+        recovery: Vec::new(),
+        divergence: None,
+    };
+    emit_report(&out, &meta, vec![meta.partition_row()], tags);
+}
 
+fn cmd_hybrid(o: &Opts) {
+    let src = ModelSource {
+        flag: o.model.as_deref(),
+        binding: None,
+        fallback: true,
+    };
+    let model = resolve_model(src, o.seed, o.dctcp, o.load);
+    let params = o.params();
+    assert!(o.full_cluster < o.clusters, "--full-cluster out of range");
+    let flows = filter_touching_cluster(&o.workload(&params, o.seed), o.full_cluster);
+    println!(
+        "hybrid run: {} clusters ({} approximated), {} flows after elision, horizon {}",
+        params.clusters,
+        params.clusters - 1,
+        flows.len(),
+        o.horizon
+    );
+    let primary = match o.pdes {
+        Some(_) => {
+            if !o.no_guard || o.fault_oracle.is_some() {
+                println!("note: --pdes runs the learned oracle unguarded (per-partition guard stats are not aggregated); --no-guard/--fault-oracle flags are ignored");
+            }
+            None
+        }
+        None => o.fault_primary(),
+    };
+    let handles = RefCell::default();
+    let oracle = oracles(model, params, o.seed, o.stack_spec(), primary, &handles);
+    let world = WorldSpec::Hybrid {
+        full_cluster: o.full_cluster,
+        oracle,
+    };
+    let plan = o.plan(&flows, world, RttScope::Cluster(o.full_cluster));
+    let approximated = format!("{} clusters ({} approximated)", o.clusters, o.clusters - 1);
+    let out = match o.pdes {
+        Some(_) => o.outputs(
+            "hybrid-pdes",
+            format!("{approximated}, one partition per cluster, seed {}", o.seed),
+        ),
+        None => o.outputs("hybrid", format!("{approximated}, seed {}", o.seed)),
+    };
+    let sampler = o.build_sampler(&flows);
+    run_and_report(plan, sampler, &handles, &out, o.trace.is_some());
+}
+
+fn cmd_compare(o: &Opts) {
+    let src = ModelSource {
+        flag: o.model.as_deref(),
+        binding: None,
+        fallback: false,
+    };
+    let model = resolve_model(src, o.seed, o.dctcp, o.load);
+    let params = o.params();
+    let flows = o.workload(&params, o.seed.wrapping_add(1));
+    let cfg = o.net_config(RttScope::Cluster(o.full_cluster));
+
+    println!("ground truth ({} flows) ...", flows.len());
+    let (truth, tmeta) = run_ground_truth(params, cfg, None, &flows, o.horizon);
+    let elided = filter_touching_cluster(&flows, o.full_cluster);
+    println!("hybrid ({} flows after elision) ...", elided.len());
+    let handles = RefCell::default();
+    let oracle = oracles(
+        model,
+        params,
+        o.seed,
+        o.stack_spec(),
+        o.fault_primary(),
+        &handles,
+    )(None);
+    let (hybrid, hmeta) = run_hybrid(params, o.full_cluster, oracle, cfg, &elided, o.horizon);
+    let h = handles.into_inner();
+    report_guard(&h.guard);
+    report_caches(&h.caches);
+
+    let cmp = compare_cdfs(&truth.stats.rtt_cdf(), &hybrid.stats.rtt_cdf());
+    println!("\n  quantile   truth       hybrid      error");
+    for r in &cmp.rows {
+        println!(
+            "  p{:<8} {:>9.1}us {:>9.1}us {:>+8.1}%",
+            r.q * 100.0,
+            r.truth * 1e6,
+            r.approx * 1e6,
+            r.rel_error() * 100.0
+        );
+    }
+    println!(
+        "\n  KS distance {:.4} | wall {:.2}s truth vs {:.2}s hybrid ({:.2}x) | events {:.1}x fewer",
+        cmp.ks,
+        tmeta.wall.as_secs_f64(),
+        hmeta.wall.as_secs_f64(),
+        tmeta.wall.as_secs_f64() / hmeta.wall.as_secs_f64().max(1e-9),
+        tmeta.events as f64 / hmeta.events.max(1) as f64,
+    );
+    let out = o.outputs(
+        "compare",
+        format!("truth vs hybrid, {} clusters, seed {}", o.clusters, o.seed),
+    );
+    let tags = LedgerTags {
+        driver: "compare",
+        mode: "",
+        fingerprint: run_fingerprint([&hybrid]),
+        recovery: Vec::new(),
+        divergence: None,
+    };
+    emit_report(&out, &hmeta, vec![hmeta.partition_row()], tags);
+}
+
+/// The scenario commands' flags. `audit FILE` is `run-scenario FILE
+/// --audit` with its own spelling of the ledger flag (`--ledger-out`) and
+/// three oracle-stack overrides of its own (`--oracle-cache`,
+/// `--oracle-cache-cap`, `--no-guard`).
+struct ScenarioArgs {
+    file: Option<String>,
+    over: elephant::scenario::CompileOverrides,
+    validate: bool,
+    list_dir: Option<String>,
+    pdes: bool,
+    partitions: Option<usize>,
+    epoch_mode: EpochMode,
+    sample_every: Option<SimDuration>,
+    samples_out: Option<String>,
+    checkpoint_every_ms: Option<f64>,
+    max_retries: Option<u32>,
+    profile: bool,
+    metrics_out: Option<String>,
+    model: Option<String>,
+    audit: bool,
+    oracle_cache: bool,
+    oracle_cache_cap: Option<usize>,
+    no_guard: bool,
+}
+
+fn parse_scenario_args(args: &[String], cmd: &str) -> ScenarioArgs {
+    let audit = cmd == "audit";
+    let mut s = ScenarioArgs {
+        file: None,
+        over: Default::default(),
+        validate: false,
+        list_dir: None,
+        pdes: false,
+        partitions: None,
+        epoch_mode: EpochMode::Adaptive,
+        sample_every: None,
+        samples_out: None,
+        checkpoint_every_ms: None,
+        max_retries: None,
+        profile: false,
+        metrics_out: None,
+        model: None,
+        audit,
+        oracle_cache: false,
+        oracle_cache_cap: None,
+        no_guard: false,
+    };
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         let mut val = || {
@@ -949,40 +1254,44 @@ fn cmd_run_scenario(args: &[String]) {
             })
         };
         match a.as_str() {
-            "--seed" => over.seed = Some(parse(&val(), a)),
-            "--horizon-ms" => over.horizon_ms = Some(parse(&val(), a)),
-            "--repeat" => over.repeat = Some(parse(&val(), a)),
-            "--validate" => validate = true,
-            "--pdes" => pdes = true,
-            "--partitions" => {
-                partitions = Some(parse(&val(), a));
-                pdes = true;
+            "--seed" => s.over.seed = Some(parse(&val(), a)),
+            "--horizon-ms" => s.over.horizon_ms = Some(parse(&val(), a)),
+            "--repeat" => s.over.repeat = Some(parse(&val(), a)),
+            "--model" => s.model = Some(val()),
+            "--sample-every" => s.sample_every = Some(SimDuration::from_micros(parse(&val(), a))),
+            "--ledger-out" if audit => s.metrics_out = Some(val()),
+            "--oracle-cache" if audit => s.oracle_cache = true,
+            "--oracle-cache-cap" if audit => s.oracle_cache_cap = Some(parse(&val(), a)),
+            "--no-guard" if audit => s.no_guard = true,
+            "--validate" if !audit => s.validate = true,
+            "--pdes" if !audit => s.pdes = true,
+            "--partitions" if !audit => {
+                s.partitions = Some(parse(&val(), a));
+                s.pdes = true;
             }
-            "--adaptive-epochs" => epoch_mode = EpochMode::Adaptive,
-            "--fixed-epochs" => epoch_mode = EpochMode::Fixed,
-            "--sample-every" => sample_every = Some(SimDuration::from_micros(parse(&val(), a))),
-            "--samples-out" => samples_out = Some(val()),
-            "--checkpoint-every-ms" => {
+            "--adaptive-epochs" if !audit => s.epoch_mode = EpochMode::Adaptive,
+            "--fixed-epochs" if !audit => s.epoch_mode = EpochMode::Fixed,
+            "--samples-out" if !audit => s.samples_out = Some(val()),
+            "--checkpoint-every-ms" if !audit => {
                 let ms: f64 = parse(&val(), a);
                 if ms <= 0.0 {
                     eprintln!("--checkpoint-every-ms must be > 0, got {ms}");
                     exit(2)
                 }
-                checkpoint_every_ms = Some(ms);
+                s.checkpoint_every_ms = Some(ms);
             }
-            "--max-retries" => {
+            "--max-retries" if !audit => {
                 let n: u32 = parse(&val(), a);
                 if n == 0 {
                     eprintln!("--max-retries must be >= 1");
                     exit(2)
                 }
-                max_retries = Some(n);
+                s.max_retries = Some(n);
             }
-            "--profile" => profile = true,
-            "--metrics-out" => metrics_out = Some(val()),
-            "--model" => model_flag = Some(val()),
-            "--audit" => audit = true,
-            "--list-scenarios" => {
+            "--profile" if !audit => s.profile = true,
+            "--metrics-out" if !audit => s.metrics_out = Some(val()),
+            "--audit" if !audit => s.audit = true,
+            "--list-scenarios" if !audit => {
                 // DIR is optional; the next token is a directory unless it
                 // looks like a flag. `val` is unused on this path, so its
                 // borrow of the iterator has already ended.
@@ -990,22 +1299,41 @@ fn cmd_run_scenario(args: &[String]) {
                     Some(next) if !next.starts_with('-') => it.next().expect("peeked").clone(),
                     _ => "scenarios".to_string(),
                 };
-                list_dir = Some(dir);
+                s.list_dir = Some(dir);
             }
             other if other.starts_with('-') => {
-                eprintln!("unknown run-scenario option: {other}\n");
+                eprintln!("unknown {cmd} option: {other}\n");
                 usage()
             }
             path => {
-                if file.replace(path.to_string()).is_some() {
-                    eprintln!("run-scenario takes one scenario file\n");
+                if s.file.replace(path.to_string()).is_some() {
+                    eprintln!("{cmd} takes one scenario file\n");
                     usage()
                 }
             }
         }
     }
+    s
+}
 
-    if let Some(dir) = list_dir {
+/// `run-scenario FILE`: load, validate, compile, and run a declarative
+/// scenario. Scenario errors exit with code 6 and name the offending
+/// `file:line`; missing files exit 3.
+fn cmd_run_scenario(args: &[String]) {
+    run_scenario(parse_scenario_args(args, "run-scenario"))
+}
+
+/// `audit FILE`: the paired truth+hybrid run of `run-scenario FILE
+/// --audit`, with `--model`, `--oracle-cache[-cap]`, `--no-guard`,
+/// `--sample-every` and `--ledger-out` as overrides.
+fn cmd_audit(args: &[String]) {
+    run_scenario(parse_scenario_args(args, "audit"))
+}
+
+fn run_scenario(a: ScenarioArgs) {
+    use elephant::scenario::{compile, list_scenarios, load};
+
+    if let Some(dir) = a.list_dir {
         let files = list_scenarios(std::path::Path::new(&dir)).unwrap_or_else(|e| {
             die(ElephantError::Io {
                 path: dir.clone(),
@@ -1025,19 +1353,19 @@ fn cmd_run_scenario(args: &[String]) {
         return;
     }
 
-    let Some(path) = file else {
-        eprintln!("run-scenario needs a scenario file (or --list-scenarios)\n");
+    let Some(path) = a.file else {
+        eprintln!("a scenario file is required (or run-scenario --list-scenarios)\n");
         usage()
     };
     let scenario = load(&path).unwrap_or_else(|e| die(e));
-    let compiled = compile(&scenario, &over);
+    let compiled = compile(&scenario, &a.over);
     // A [model] section (or --model / --audit) routes the scenario
     // through the hybrid drivers: the selected cluster stays at packet
     // fidelity while the learned oracle serves every other fabric,
     // guarded and cached per the [guard]/[oracle] sections.
-    let hybrid_mode = audit || model_flag.is_some() || compiled.hybrid.model_declared;
+    let hybrid_mode = a.audit || a.model.is_some() || compiled.hybrid.model_declared;
 
-    if validate {
+    if a.validate {
         println!(
             "{path}: ok — scenario `{}`: {} clusters, {} hosts, {} flows, horizon {}, \
              {} PDES partitions",
@@ -1076,334 +1404,52 @@ fn cmd_run_scenario(args: &[String]) {
         compiled.flows.len(),
         compiled.horizon,
         compiled.seed,
-        if pdes {
+        if a.pdes {
             // Hybrid PDES always partitions one cluster per partition.
             let n = if hybrid_mode {
                 compiled.params.clusters as usize
             } else {
-                partitions.unwrap_or(compiled.partitions)
+                a.partitions.unwrap_or(compiled.partitions)
             };
             format!(", PDES x{n}")
         } else {
             String::new()
         }
     );
-    if compiled.faults.is_some() && !pdes {
+    if compiled.faults.is_some() && !a.pdes {
         println!("note: the scenario's [faults] plan applies only under --pdes");
     }
 
-    if profile || metrics_out.is_some() {
+    if a.profile || a.metrics_out.is_some() {
         elephant::obs::set_enabled(true);
     }
+    let out = Outputs {
+        name: "run-scenario".into(),
+        scenario: format!("scenario `{}`, seed {}", compiled.name, compiled.seed),
+        seed: compiled.seed,
+        profile: a.profile,
+        metrics_out: a.metrics_out,
+        samples_out: a.samples_out.unwrap_or_else(|| "samples.csv".into()),
+        trace_out: None,
+    };
+    let sample_every = a.sample_every.or(compiled.sample_every);
 
     // CLI flags enable supervision even without a [recovery] section and
     // override the section's knobs when present.
     let mut recovery = compiled.recovery;
-    if checkpoint_every_ms.is_some() || max_retries.is_some() {
+    if a.checkpoint_every_ms.is_some() || a.max_retries.is_some() {
         let mut p = recovery.unwrap_or_default();
-        if let Some(ms) = checkpoint_every_ms {
+        if let Some(ms) = a.checkpoint_every_ms {
             p.checkpoint_every = SimDuration::from_secs_f64(ms / 1e3);
         }
-        if let Some(n) = max_retries {
+        if let Some(n) = a.max_retries {
             p.max_retries = n;
         }
         recovery = Some(p);
     }
 
-    if hybrid_mode {
-        run_scenario_hybrid(HybridRunArgs {
-            path: &path,
-            compiled: &compiled,
-            model_flag: model_flag.as_deref(),
-            audit,
-            pdes,
-            partitions_flag: partitions.is_some(),
-            epoch_mode,
-            recovery,
-            sample_every,
-            samples_out,
-            profile,
-            metrics_out,
-        });
-        return;
-    }
-
-    let mut sampler = sample_every
-        .or(compiled.sample_every)
-        .map(|d| NetSampler::new(d, &compiled.flows));
-    if recovery.is_some() && sampler.is_some() {
-        println!(
-            "note: samplers observe a single timeline and cannot follow checkpoint \
-             restores; sampling is disabled under [recovery] supervision"
-        );
-        sampler = None;
-    }
-
-    let (fingerprint, wall, events, recovery_lines, driver) = if let Some(policy) = recovery {
-        let run = if pdes {
-            compiled.run_pdes_supervised(partitions, epoch_mode, &policy)
-        } else {
-            compiled.run_sequential_supervised(&policy)
-        }
-        .unwrap_or_else(|e| die(e));
-        print_supervised_summary(&run, compiled.horizon);
-        report_fault_counts(
-            compiled.faults.as_ref().filter(|_| pdes),
-            run.report.as_ref().map(|r| r.faults),
-        );
-        let mut lines = vec![run.log.summary()];
-        lines.extend(run.log.transitions.iter().map(|t| format!("{t:?}")));
-        (
-            run_fingerprint(run.nets.iter()),
-            run.wall,
-            run.events,
-            lines,
-            "supervised",
-        )
-    } else if pdes {
-        let run = compiled
-            .run_pdes(partitions, epoch_mode, sampler.as_mut())
-            .unwrap_or_else(|e| {
-                eprintln!("elephant: PDES run failed: {e}");
-                exit(5)
-            });
-        print_pdes_summary(&run, compiled.horizon);
-        report_fault_counts(compiled.faults.as_ref(), Some(run.report.faults));
-        (
-            run_fingerprint(run.nets.iter()),
-            run.wall,
-            run.events(),
-            Vec::new(),
-            "pdes",
-        )
-    } else {
-        let (net, meta) = compiled.run_sequential(sampler.as_mut());
-        print_summary(&net, &meta);
-        (
-            run_fingerprint([&net]),
-            meta.wall,
-            meta.events,
-            Vec::new(),
-            "sequential",
-        )
-    };
-    let mode = if pdes {
-        format!("{epoch_mode:?}").to_lowercase()
-    } else {
-        String::new()
-    };
-    finish_scenario_run(
-        &compiled,
-        profile,
-        metrics_out.as_ref(),
-        samples_out,
-        sampler.as_ref(),
-        fingerprint,
-        wall,
-        events,
-        recovery_lines,
-        driver,
-        &mode,
-    );
-}
-
-/// Arguments for the run-scenario hybrid path, bundled so the dispatch
-/// site stays readable.
-struct HybridRunArgs<'a> {
-    path: &'a str,
-    compiled: &'a elephant::scenario::Compiled,
-    model_flag: Option<&'a str>,
-    audit: bool,
-    pdes: bool,
-    partitions_flag: bool,
-    epoch_mode: EpochMode,
-    recovery: Option<elephant::core::RecoveryPolicy>,
-    sample_every: Option<SimDuration>,
-    samples_out: Option<String>,
-    profile: bool,
-    metrics_out: Option<String>,
-}
-
-/// Resolves the model artifact for a hybrid scenario run. Precedence:
-/// the `--model` flag (plain CLI semantics: exit 3/4 on failure), then
-/// the scenario's `[model] path` (scenario semantics: exit 6 naming the
-/// binding's `file:line`), then — when `train_fallback = true`, or under
-/// `--audit` with no binding at all — a quick-trained default model, the
-/// same fallback the `hybrid` subcommand uses without `--model`.
-fn resolve_scenario_model(
-    scenario_path: &str,
-    spec: &elephant::scenario::HybridSpec,
-    cli_model: Option<&str>,
-    seed: u64,
-    dctcp: bool,
-    allow_fallback: bool,
-) -> ClusterModel {
-    let scenario_err = |artifact: &str, e: &dyn std::fmt::Display| ElephantError::Scenario {
-        path: scenario_path.to_string(),
-        line: spec.model_line,
-        detail: format!("model artifact `{artifact}`: {e}"),
-    };
-    if let Some(p) = cli_model {
-        let json = std::fs::read_to_string(p).unwrap_or_else(|e| {
-            die(ElephantError::Io {
-                path: p.to_string(),
-                source: e,
-            })
-        });
-        return ClusterModel::load_json(&json).unwrap_or_else(|e| die(e));
-    }
-    if let Some(p) = &spec.model_path {
-        match std::fs::read_to_string(p) {
-            Ok(json) => {
-                return ClusterModel::load_json(&json).unwrap_or_else(|e| die(scenario_err(p, &e)));
-            }
-            Err(e) if allow_fallback && e.kind() == std::io::ErrorKind::NotFound => {
-                println!(
-                    "model artifact `{p}` does not exist; capturing + training a small \
-                     default model (train_fallback) ..."
-                );
-            }
-            Err(e) => die(scenario_err(p, &e)),
-        }
-    } else if allow_fallback {
-        println!("no model artifact bound; capturing + training a small default model first ...");
-    } else {
-        die(ElephantError::Scenario {
-            path: scenario_path.to_string(),
-            line: spec.model_line,
-            detail: "[model] names no `path` and `train_fallback` is false; \
-                     pass --model or bind an artifact"
-                .into(),
-        })
-    }
-    let mut o = Opts::parse(&[]);
-    o.seed = seed;
-    o.dctcp = dctcp;
-    quick_default_model(&o)
-}
-
-/// The scenario-path twin of [`Opts::build_oracle`]: assembles the
-/// learned oracle — with the `[oracle]` verdict cache *under* the
-/// `[guard]` wrapper, so guard validation sees every served verdict —
-/// from the compiled hybrid spec. The guard's drift band centers on the
-/// artifact's training drop rate exactly as the `hybrid` subcommand's
-/// does, and the fallback delivers at the training-time median latency.
-fn scenario_oracle(
-    model: ClusterModel,
-    spec: &elephant::scenario::HybridSpec,
-    params: ClosParams,
-    seed: u64,
-) -> (
-    Box<dyn ClusterOracle + Send>,
-    Option<GuardStatsHandle>,
-    Option<CacheStatsHandle>,
-) {
-    let meta = model.meta;
-    let mut cache = None;
-    let primary: Box<dyn ClusterOracle + Send> = if spec.cache {
-        let oracle = LearnedOracle::with_cache(
-            model,
-            params,
-            DropPolicy::Sample,
-            seed ^ 0xE1E,
-            spec.cache_cap,
-        );
-        cache = oracle.cache_stats_handle();
-        Box::new(oracle)
-    } else {
-        Box::new(LearnedOracle::new(
-            model,
-            params,
-            DropPolicy::Sample,
-            seed ^ 0xE1E,
-        ))
-    };
-    let Some(guard_cfg) = &spec.guard else {
-        return (primary, None, cache);
-    };
-    let mut guard_cfg = guard_cfg.clone();
-    guard_cfg.expected_drop_rate = (meta.train_records > 0).then_some(meta.train_drop_rate);
-    let fallback_latency = if meta.train_latency_p50 > 0.0 {
-        SimDuration::from_secs_f64(meta.train_latency_p50)
-    } else {
-        SimDuration::from_micros(50)
-    };
-    let guarded = GuardedOracle::new(
-        primary,
-        Box::new(FixedLatencyOracle(fallback_latency)),
-        guard_cfg,
-    );
-    let handle = guarded.stats_handle();
-    (Box::new(guarded), Some(handle), cache)
-}
-
-/// Partition `p`'s oracle for PDES hybrid scenario runs: the same
-/// per-partition seed salting as `hybrid --pdes`, unguarded (per-
-/// partition guard stats are not aggregated), honoring the `[oracle]`
-/// cache settings. Collects cache handles into `handles` when given.
-fn scenario_partition_oracle(
-    model: &ClusterModel,
-    spec: &elephant::scenario::HybridSpec,
-    params: ClosParams,
-    seed: u64,
-    p: usize,
-    handles: Option<&std::sync::Mutex<Vec<CacheStatsHandle>>>,
-) -> Box<dyn ClusterOracle + Send> {
-    let s = (seed ^ 0xE1E).wrapping_add(p as u64);
-    if spec.cache {
-        let oracle =
-            LearnedOracle::with_cache(model.clone(), params, DropPolicy::Sample, s, spec.cache_cap);
-        if let Some(hs) = handles {
-            if let Some(h) = oracle.cache_stats_handle() {
-                hs.lock().unwrap().push(h);
-            }
-        }
-        Box::new(oracle)
-    } else {
-        Box::new(LearnedOracle::new(
-            model.clone(),
-            params,
-            DropPolicy::Sample,
-            s,
-        ))
-    }
-}
-
-/// The hybrid half of `run-scenario`: resolves the model artifact, elides
-/// the flow list to traffic touching the full-fidelity cluster, and runs
-/// the guarded/cached hybrid on the driver the flags select (sequential,
-/// PDES, supervised, or — under `--audit` — paired against ground truth
-/// and gated on the `[audit]` bounds).
-fn run_scenario_hybrid(a: HybridRunArgs) {
-    let compiled = a.compiled;
-    let spec = &compiled.hybrid;
-    if compiled.params.clusters < 2 {
-        die(ElephantError::Scenario {
-            path: a.path.to_string(),
-            line: spec.model_line,
-            detail: "hybrid simulation needs >= 2 clusters (the oracle approximates \
-                     every cluster but the full-fidelity one)"
-                .into(),
-        });
-    }
-    let model = resolve_scenario_model(
-        a.path,
-        spec,
-        a.model_flag,
-        compiled.seed,
-        compiled.dctcp,
-        a.audit || spec.train_fallback,
-    );
-    let flows = compiled.hybrid_flows();
-    println!(
-        "  hybrid: cluster {} at packet fidelity ({} approximated), {} flows after elision",
-        spec.full_cluster,
-        compiled.params.clusters - 1,
-        flows.len()
-    );
-
     if a.audit {
-        if a.recovery.is_some() {
+        if recovery.is_some() {
             println!(
                 "note: --audit runs both sides unsupervised; the [recovery] ladder is ignored"
             );
@@ -1411,638 +1457,113 @@ fn run_scenario_hybrid(a: HybridRunArgs) {
         if a.pdes {
             println!("note: --audit runs both sides sequentially; --pdes is ignored");
         }
-        let bounds = compiled.audit_bounds.unwrap_or_default();
-        let (oracle, guard, cache) = scenario_oracle(model, spec, compiled.params, compiled.seed);
-        let hooks = AuditHooks { cache, guard };
-        let run = run_audit(
-            compiled.params,
-            spec.full_cluster,
-            oracle,
-            compiled.net_config(),
-            &flows,
-            compiled.horizon,
-            bounds,
-            a.sample_every
-                .or(compiled.sample_every)
-                .unwrap_or_else(|| SimDuration::from_micros(200)),
-            hooks,
-        );
-        println!("\n{}", run.divergence.to_table());
-        println!(
-            "  truth : {} events in {:.2}s wall | hybrid: {} events in {:.2}s wall \
-             ({:.1}x fewer events)",
-            run.truth_meta.events,
-            run.truth_meta.wall.as_secs_f64(),
-            run.hybrid_meta.events,
-            run.hybrid_meta.wall.as_secs_f64(),
-            run.truth_meta.events as f64 / run.hybrid_meta.events.max(1) as f64
-        );
-        let fingerprint = run_fingerprint([&run.hybrid_net]);
-        println!("  fingerprint: {fingerprint:#018x}");
-        if let Some(base) = &a.metrics_out {
-            let truth_path = format!("{}.truth.json", base.trim_end_matches(".json"));
-            let mut hreport = RunReport::new("audit-hybrid", a.path.to_string());
-            hreport.set_run(
-                run.hybrid_meta.wall.as_secs_f64(),
-                run.hybrid_meta.events,
-                compiled.horizon.as_secs_f64(),
-            );
-            write_ledger(
-                base,
-                "audit-hybrid",
-                "paired",
-                compiled.seed,
-                fingerprint,
-                Vec::new(),
-                Some(run.divergence.clone()),
-                hreport,
-            );
-            let mut treport = RunReport::new("audit-truth", a.path.to_string());
-            treport.set_run(
-                run.truth_meta.wall.as_secs_f64(),
-                run.truth_meta.events,
-                compiled.horizon.as_secs_f64(),
-            );
-            write_ledger(
-                &truth_path,
-                "audit-truth",
-                "paired",
-                compiled.seed,
-                run_fingerprint([&run.truth_net]),
-                Vec::new(),
-                None,
-                treport,
-            );
+        let mut spec = compiled.stack_spec();
+        if a.oracle_cache || a.oracle_cache_cap.is_some() {
+            let cap = a.oracle_cache_cap.unwrap_or(compiled.hybrid.cache_cap);
+            spec.cache_cap = (a.oracle_cache || compiled.hybrid.cache).then_some(cap);
         }
-        let breaches = run.divergence.breaches();
-        if !breaches.is_empty() {
-            eprintln!("\naudit FAILED: hybrid diverges outside the [audit] bounds");
-            for b in &breaches {
-                eprintln!("  - {b}");
-            }
-            exit(8)
+        if a.no_guard {
+            spec.guard = None;
         }
-        println!(
-            "\naudit OK: drop-rate err {:.4} <= {}, FCT KS {:.3} <= {}, W1/mean {:.3} <= {}",
-            run.divergence.drop_rate_error(),
-            bounds.max_drop_rate_error,
-            run.divergence.fct_ks,
-            bounds.max_ks,
-            run.divergence.w1_ratio(),
-            bounds.max_w1_ratio
-        );
-        return;
+        let model = hybrid_model(&path, &compiled, a.model.as_deref(), true);
+        return audit_scenario(&path, &compiled, model, spec, sample_every, &out);
     }
 
-    let mut sampler = a
-        .sample_every
-        .or(compiled.sample_every)
-        .map(|d| NetSampler::new(d, &flows));
-    if a.recovery.is_some() && sampler.is_some() {
+    let handles = RefCell::default();
+    let plan = if hybrid_mode {
+        let fallback = compiled.hybrid.train_fallback;
+        let model = hybrid_model(&path, &compiled, a.model.as_deref(), fallback);
+        if a.pdes && a.partitions.is_some() {
+            println!(
+                "note: hybrid PDES partitions one cluster per partition; --partitions is ignored"
+            );
+        }
+        let (params, seed) = (compiled.params, compiled.seed);
+        let oracle = oracles(model, params, seed, compiled.stack_spec(), None, &handles);
+        compiled.plan(Some(oracle))
+    } else {
+        compiled.plan(None)
+    };
+    let mut plan = plan.with_recovery(recovery);
+    if a.pdes {
+        plan = plan.with_exec(compiled.pdes(a.partitions, a.epoch_mode));
+    }
+    let mut sampler = sample_every.map(|d| NetSampler::new(d, &plan.flows));
+    if recovery.is_some() && sampler.is_some() {
         println!(
             "note: samplers observe a single timeline and cannot follow checkpoint \
              restores; sampling is disabled under [recovery] supervision"
         );
         sampler = None;
     }
-    if a.pdes && a.partitions_flag {
-        println!("note: hybrid PDES partitions one cluster per partition; --partitions is ignored");
-    }
-
-    let fleet_handles = std::sync::Mutex::new(Vec::new());
-    let (fingerprint, wall, events, recovery_lines, driver, mode) = if let Some(policy) =
-        &a.recovery
-    {
-        let run = if a.pdes {
-            let seq_model = model.clone();
-            compiled.run_pdes_hybrid_supervised(
-                |p| {
-                    scenario_partition_oracle(&model, spec, compiled.params, compiled.seed, p, None)
-                },
-                move || scenario_oracle(seq_model, spec, compiled.params, compiled.seed).0,
-                a.epoch_mode,
-                policy,
-            )
-        } else {
-            // Handles would outlive checkpoint restores (the restored
-            // net carries a deep-copied oracle stack), so supervised
-            // runs report recovery state instead of guard/cache stats.
-            let (oracle, _, _) = scenario_oracle(model, spec, compiled.params, compiled.seed);
-            compiled.run_hybrid_supervised(oracle, policy)
-        }
-        .unwrap_or_else(|e| die(e));
-        print_supervised_summary(&run, compiled.horizon);
-        report_fault_counts(
-            compiled.faults.as_ref().filter(|_| a.pdes),
-            run.report.as_ref().map(|r| r.faults),
-        );
-        let mut lines = vec![run.log.summary()];
-        lines.extend(run.log.transitions.iter().map(|t| format!("{t:?}")));
-        let mode = if a.pdes {
-            format!("{:?}", a.epoch_mode).to_lowercase()
-        } else {
-            String::new()
-        };
-        (
-            run_fingerprint(run.nets.iter()),
-            run.wall,
-            run.events,
-            lines,
-            "hybrid-supervised",
-            mode,
-        )
-    } else if a.pdes {
-        let run = compiled
-            .run_pdes_hybrid(
-                |p| {
-                    scenario_partition_oracle(
-                        &model,
-                        spec,
-                        compiled.params,
-                        compiled.seed,
-                        p,
-                        Some(&fleet_handles),
-                    )
-                },
-                a.epoch_mode,
-                sampler.as_mut(),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("elephant: PDES run failed: {e}");
-                exit(5)
-            });
-        print_pdes_summary(&run, compiled.horizon);
-        report_cache_fleet(&fleet_handles.lock().unwrap());
-        report_fault_counts(compiled.faults.as_ref(), Some(run.report.faults));
-        (
-            run_fingerprint(run.nets.iter()),
-            run.wall,
-            run.events(),
-            Vec::new(),
-            "hybrid-pdes",
-            format!("{:?}", a.epoch_mode).to_lowercase(),
-        )
-    } else {
-        let (oracle, guard, cache) = scenario_oracle(model, spec, compiled.params, compiled.seed);
-        let (net, meta) = compiled.run_hybrid(oracle, sampler.as_mut());
-        print_summary(&net, &meta);
-        report_guard(&guard);
-        report_cache(&cache);
-        (
-            run_fingerprint([&net]),
-            meta.wall,
-            meta.events,
-            Vec::new(),
-            "hybrid",
-            "sequential".to_string(),
-        )
-    };
-    finish_scenario_run(
-        compiled,
-        a.profile,
-        a.metrics_out.as_ref(),
-        a.samples_out,
-        sampler.as_ref(),
-        fingerprint,
-        wall,
-        events,
-        recovery_lines,
-        driver,
-        &mode,
-    );
+    run_and_report(plan, sampler, &handles, &out, false);
 }
 
-/// The shared run-scenario epilogue: the fingerprint line, the profile
-/// table, the sealed run ledger, and the samples CSV.
-#[allow(clippy::too_many_arguments)] // a CLI epilogue, not an API surface
-fn finish_scenario_run(
-    compiled: &elephant::scenario::Compiled,
-    profile: bool,
-    metrics_out: Option<&String>,
-    samples_out: Option<String>,
-    sampler: Option<&NetSampler>,
-    fingerprint: u64,
-    wall: std::time::Duration,
-    events: u64,
-    recovery_lines: Vec<String>,
-    driver: &str,
-    mode: &str,
-) {
-    println!("  fingerprint: {fingerprint:#018x}");
-
-    if profile || metrics_out.is_some() {
-        let mut report = RunReport::new(
-            "run-scenario",
-            format!("scenario `{}`, seed {}", compiled.name, compiled.seed),
-        );
-        report.set_run(wall.as_secs_f64(), events, compiled.horizon.as_secs_f64());
-        report.gather();
-        if profile {
-            println!("\n{}", report.to_table());
-        }
-        if let Some(path) = metrics_out {
-            write_ledger(
-                path,
-                driver,
-                mode,
-                compiled.seed,
-                fingerprint,
-                recovery_lines,
-                None,
-                report,
-            );
-        }
+/// A hybrid scenario's model (see [`ModelSource`]), after checking the
+/// scenario has clusters to approximate and announcing the elision.
+fn hybrid_model(
+    path: &str,
+    compiled: &Compiled,
+    flag: Option<&str>,
+    fallback: bool,
+) -> ClusterModel {
+    let spec = &compiled.hybrid;
+    if compiled.params.clusters < 2 {
+        die(ElephantError::Scenario {
+            path: path.to_string(),
+            line: spec.model_line,
+            detail: "hybrid simulation needs >= 2 clusters (the oracle approximates \
+                     every cluster but the full-fidelity one)"
+                .into(),
+        });
     }
-
-    if let Some(s) = sampler {
-        let out = samples_out.unwrap_or_else(|| "samples.csv".into());
-        match write_csv(&out, &SAMPLE_CSV_HEADER, s.rows()) {
-            Ok(()) => println!("wrote {out} ({} samples)", s.rows().len()),
-            Err(e) => {
-                eprintln!("cannot write {out}: {e}");
-                exit(3)
-            }
-        }
-    }
-}
-
-/// Captures a short two-cluster ground truth and trains a deliberately
-/// small model — the `hybrid` fallback when no `--model` is supplied.
-fn quick_default_model(o: &Opts) -> ClusterModel {
-    let params = ClosParams::paper_cluster(2);
-    let horizon = SimTime::from_millis(30);
-    let mut wl = WorkloadConfig::paper_default(horizon, o.seed);
-    wl.load = o.load;
-    let flows = generate(&params, &wl);
-    let (net, _) = run_ground_truth(
-        params,
-        o.net_config(RttScope::None),
-        Some(1),
-        &flows,
-        horizon,
-    );
-    let records = capture_records(net).unwrap_or_else(|e| die(e));
-    let opts = TrainingOptions {
-        hidden: 16,
-        layers: 1,
-        epochs: 4,
-        ..Default::default()
+    let src = ModelSource {
+        flag,
+        binding: Some((path, spec)),
+        fallback,
     };
-    let (model, _) = train_cluster_model(&records, &params, &opts);
+    let model = resolve_model(src, compiled.seed, compiled.dctcp, 0.3);
+    println!(
+        "  hybrid: cluster {} at packet fidelity ({} approximated), {} flows after elision",
+        spec.full_cluster,
+        compiled.params.clusters - 1,
+        compiled.hybrid_flows().len()
+    );
     model
 }
 
-fn cmd_train(o: &Opts) {
-    let params = {
-        let mut p = ClosParams::paper_cluster(2);
-        if o.dctcp {
-            p.host_link = p.host_link.with_ecn(30_000);
-            p.fabric_link = p.fabric_link.with_ecn(30_000);
-            p.core_link = p.core_link.with_ecn(30_000);
-        }
-        p
-    };
-    let flows = o.workload(&params, o.seed);
-    println!(
-        "capturing ground truth: 2 clusters, {} flows, horizon {} ...",
-        flows.len(),
-        o.horizon
-    );
-    let (net, meta) = run_ground_truth(
-        params,
-        o.net_config(RttScope::None),
-        Some(1),
-        &flows,
-        o.horizon,
-    );
-    let records = capture_records(net).unwrap_or_else(|e| die(e));
-    println!(
-        "  {} events, {} boundary records",
-        meta.events,
-        records.len()
-    );
-
-    let opts = TrainingOptions {
-        hidden: o.hidden,
-        layers: o.layers,
-        epochs: o.epochs,
-        rnn: if o.gru { RnnKind::Gru } else { RnnKind::Lstm },
-        ..Default::default()
-    };
-    println!(
-        "training {}x{} {} for {} epochs ...",
-        o.layers,
-        o.hidden,
-        if o.gru { "GRU" } else { "LSTM" },
-        o.epochs
-    );
-    let (model, report) = train_cluster_model(&records, &params, &opts);
-    println!(
-        "  up:   {} samples | drop accuracy {:.3} | latency rmse {:.3}",
-        report.up.train_samples, report.up.eval.drop_accuracy, report.up.eval.latency_rmse
-    );
-    println!(
-        "  down: {} samples | drop accuracy {:.3} | latency rmse {:.3}",
-        report.down.train_samples, report.down.eval.drop_accuracy, report.down.eval.latency_rmse
-    );
-    std::fs::write(&o.out, model.to_file_json()).unwrap_or_else(|e| {
-        die(ElephantError::Io {
-            path: o.out.clone(),
-            source: e,
-        })
-    });
-    println!(
-        "wrote {} (format v{}, checksum {:#018x})",
-        o.out,
-        elephant::core::MODEL_VERSION,
-        model.weight_checksum()
-    );
-    emit_metrics(
-        o,
-        "train",
-        format!(
-            "capture + {}x{} {} training, seed {}",
-            o.layers,
-            o.hidden,
-            if o.gru { "GRU" } else { "LSTM" },
-            o.seed
-        ),
-        Some(&meta),
-        // The captured net was consumed by training; no fingerprint.
-        0,
-    );
-}
-
-fn cmd_hybrid(o: &Opts) {
-    let model = match &o.model {
-        Some(_) => o.load_model(),
-        None => {
-            println!("no --model given; capturing + training a small default model first ...");
-            quick_default_model(o)
-        }
-    };
-    let params = o.params();
-    assert!(o.full_cluster < o.clusters, "--full-cluster out of range");
-    let flows = filter_touching_cluster(&o.workload(&params, o.seed), o.full_cluster);
-    println!(
-        "hybrid run: {} clusters ({} approximated), {} flows after elision, horizon {}",
-        params.clusters,
-        params.clusters - 1,
-        flows.len(),
-        o.horizon
-    );
-    let mut sampler = o.build_sampler(&flows);
-
-    if o.pdes.is_some() {
-        if !o.no_guard || o.fault_oracle.is_some() {
-            println!("note: --pdes runs the learned oracle unguarded (per-partition guard stats are not aggregated); --no-guard/--fault-oracle flags are ignored");
-        }
-        let cache_handles = std::sync::Mutex::new(Vec::new());
-        let run = run_pdes_hybrid(
-            params,
-            o.full_cluster,
-            |p| {
-                let seed = (o.seed ^ 0xE1E).wrapping_add(p as u64);
-                if o.oracle_cache {
-                    let oracle = LearnedOracle::with_cache(
-                        model.clone(),
-                        params,
-                        DropPolicy::Sample,
-                        seed,
-                        o.oracle_cache_cap,
-                    );
-                    if let Some(h) = oracle.cache_stats_handle() {
-                        cache_handles.lock().unwrap().push(h);
-                    }
-                    Box::new(oracle)
-                } else {
-                    Box::new(LearnedOracle::new(
-                        model.clone(),
-                        params,
-                        DropPolicy::Sample,
-                        seed,
-                    ))
-                }
-            },
-            &flows,
-            o.horizon,
-            o.machines,
-            64,
-            o.epoch_mode,
-            None,
-            sampler.as_mut(),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("elephant: PDES run failed: {e}");
-            exit(5)
-        });
-        print_pdes_summary(&run, o.horizon);
-        report_cache_fleet(&cache_handles.into_inner().unwrap());
-        println!("  fingerprint: {:#018x}", run_fingerprint(run.nets.iter()));
-        let nets: Vec<&Network> = run.nets.iter().collect();
-        finish_observability(o, &nets, &None, sampler.as_ref());
-        let meta = elephant::core::RunMeta {
-            wall: run.wall,
-            events: run.report.events_executed,
-            sim_seconds: o.horizon.as_secs_f64(),
-        };
-        emit_metrics(
-            o,
-            "hybrid-pdes",
-            format!(
-                "{} clusters ({} approximated), one partition per cluster, seed {}",
-                o.clusters,
-                o.clusters - 1,
-                o.seed
-            ),
-            Some(&meta),
-            run_fingerprint(run.nets.iter()),
-        );
-        return;
-    }
-
-    let (oracle, guard, cache) = o.build_oracle(model, params);
-    let (net, meta) = run_hybrid_observed(
-        params,
-        o.full_cluster,
-        oracle,
-        o.net_config(RttScope::Cluster(o.full_cluster)),
-        &flows,
-        o.horizon,
-        o.build_trace(&flows),
-        sampler.as_mut(),
-    );
-    print_summary(&net, &meta);
-    if o.trace.is_some() {
-        print_trace_sample(&net);
-    }
-    report_guard(&guard);
-    report_cache(&cache);
-    println!("  fingerprint: {:#018x}", run_fingerprint([&net]));
-    finish_observability(o, &[&net], &guard, sampler.as_ref());
-    emit_metrics(
-        o,
-        "hybrid",
-        format!(
-            "{} clusters ({} approximated), seed {}",
-            o.clusters,
-            o.clusters - 1,
-            o.seed
-        ),
-        Some(&meta),
-        run_fingerprint([&net]),
-    );
-}
-
-fn cmd_compare(o: &Opts) {
-    let model = o.load_model();
-    let params = o.params();
-    let flows = o.workload(&params, o.seed.wrapping_add(1));
-    let cfg = o.net_config(RttScope::Cluster(o.full_cluster));
-
-    println!("ground truth ({} flows) ...", flows.len());
-    let (truth, tmeta) = run_ground_truth(params, cfg, None, &flows, o.horizon);
-    let elided = filter_touching_cluster(&flows, o.full_cluster);
-    println!("hybrid ({} flows after elision) ...", elided.len());
-    let (oracle, guard, cache) = o.build_oracle(model, params);
-    let (hybrid, hmeta) = run_hybrid(params, o.full_cluster, oracle, cfg, &elided, o.horizon);
-    report_guard(&guard);
-    report_cache(&cache);
-
-    let cmp = compare_cdfs(&truth.stats.rtt_cdf(), &hybrid.stats.rtt_cdf());
-    println!("\n  quantile   truth       hybrid      error");
-    for r in &cmp.rows {
-        println!(
-            "  p{:<8} {:>9.1}us {:>9.1}us {:>+8.1}%",
-            r.q * 100.0,
-            r.truth * 1e6,
-            r.approx * 1e6,
-            r.rel_error() * 100.0
-        );
-    }
-    println!(
-        "\n  KS distance {:.4} | wall {:.2}s truth vs {:.2}s hybrid ({:.2}x) | events {:.1}x fewer",
-        cmp.ks,
-        tmeta.wall.as_secs_f64(),
-        hmeta.wall.as_secs_f64(),
-        tmeta.wall.as_secs_f64() / hmeta.wall.as_secs_f64().max(1e-9),
-        tmeta.events as f64 / hmeta.events.max(1) as f64,
-    );
-    emit_metrics(
-        o,
-        "compare",
-        format!("truth vs hybrid, {} clusters, seed {}", o.clusters, o.seed),
-        Some(&hmeta),
-        run_fingerprint([&hybrid]),
-    );
-}
-
-/// `audit FILE`: ground truth and hybrid over the same compiled scenario
-/// and seed, the divergence table attributed by regime/layer/oracle, and a
-/// gate on the scenario's `[audit]` bounds — exit 8 when the hybrid
-/// diverges beyond them. `--ledger-out` writes both sides' run ledgers.
-fn cmd_audit(args: &[String]) {
-    use elephant::scenario::{compile, load, CompileOverrides};
-
-    let mut file: Option<String> = None;
-    let mut over = CompileOverrides::default();
-    let mut model_path: Option<String> = None;
-    let mut ledger_out: Option<String> = None;
-    let mut sample_every = SimDuration::from_micros(200);
-    let mut oracle_cache = false;
-    let mut oracle_cache_cap = 65_536usize;
-    let mut no_guard = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = || {
-            it.next().map(|s| s.to_string()).unwrap_or_else(|| {
-                eprintln!("{a} needs a value");
-                exit(2)
-            })
-        };
-        match a.as_str() {
-            "--seed" => over.seed = Some(parse(&val(), a)),
-            "--horizon-ms" => over.horizon_ms = Some(parse(&val(), a)),
-            "--repeat" => over.repeat = Some(parse(&val(), a)),
-            "--model" => model_path = Some(val()),
-            "--ledger-out" => ledger_out = Some(val()),
-            "--sample-every" => sample_every = SimDuration::from_micros(parse(&val(), a)),
-            "--oracle-cache" => oracle_cache = true,
-            "--oracle-cache-cap" => oracle_cache_cap = parse(&val(), a),
-            "--no-guard" => no_guard = true,
-            other if other.starts_with('-') => {
-                eprintln!("unknown audit option: {other}\n");
-                usage()
-            }
-            path => {
-                if file.replace(path.to_string()).is_some() {
-                    eprintln!("audit takes one scenario file\n");
-                    usage()
-                }
-            }
-        }
-    }
-    let Some(path) = file else {
-        eprintln!("audit needs a scenario file\n");
-        usage()
-    };
-    let scenario = load(&path).unwrap_or_else(|e| die(e));
-    let compiled = compile(&scenario, &over);
-    if compiled.params.clusters < 2 {
-        die(ElephantError::Scenario {
-            path: path.clone(),
-            line: 0,
-            detail: "audit needs >= 2 clusters (the hybrid side approximates the others)".into(),
-        });
-    }
-    let full_cluster = scenario.oracle.full_cluster;
+/// The paired audit of a scenario, shared by `audit FILE` and
+/// `run-scenario FILE --audit`: ground truth and hybrid over the same
+/// elided flows and seed, the divergence table attributed by regime,
+/// layer and oracle, both sides' ledgers under `--metrics-out`
+/// (`--ledger-out`), and a gate on the `[audit]` bounds — exit 8 when the
+/// hybrid diverges beyond them.
+fn audit_scenario(
+    path: &str,
+    compiled: &Compiled,
+    model: ClusterModel,
+    spec: StackSpec,
+    sample_every: Option<SimDuration>,
+    out: &Outputs,
+) {
     let bounds = compiled.audit_bounds.unwrap_or_default();
-    let flows = filter_touching_cluster(&compiled.flows, full_cluster);
-
-    // Reuse the standard oracle stack assembly (guard, cache) with the
-    // scenario's seed; the handles feed the audit's oracle axis.
-    let mut o = Opts::parse(&[]);
-    o.seed = compiled.seed;
-    o.dctcp = compiled.dctcp;
-    o.oracle_cache = oracle_cache || scenario.oracle.cache;
-    o.oracle_cache_cap = if oracle_cache {
-        oracle_cache_cap
-    } else {
-        scenario.oracle.cache_cap
-    };
-    o.no_guard = no_guard;
-    o.model = model_path.clone();
-    let model = match &model_path {
-        Some(_) => o.load_model(),
-        None => {
-            println!("no --model given; capturing + training a small default model first ...");
-            quick_default_model(&o)
-        }
-    };
-    let (oracle, guard, cache) = o.build_oracle(model, compiled.params);
-    let hooks = AuditHooks { cache, guard };
-
-    println!(
-        "audit `{}` ({path}): {} clusters (cluster {} at packet fidelity), \
-         {} flows after elision, horizon {}, seed {}",
-        compiled.name,
-        compiled.params.clusters,
-        full_cluster,
-        flows.len(),
-        compiled.horizon,
-        compiled.seed
-    );
+    let handles = RefCell::default();
+    let (params, seed) = (compiled.params, compiled.seed);
+    let oracle = oracles(model, params, seed, spec, None, &handles)(None);
+    let Handles { guard, caches } = handles.into_inner();
     let run = run_audit(
-        compiled.params,
-        full_cluster,
+        params,
+        compiled.hybrid.full_cluster,
         oracle,
         compiled.net_config(),
-        &flows,
+        &compiled.hybrid_flows(),
         compiled.horizon,
         bounds,
-        sample_every,
-        hooks,
+        sample_every.unwrap_or_else(|| SimDuration::from_micros(200)),
+        AuditHooks {
+            cache: caches.into_iter().next(),
+            guard,
+        },
     );
     println!("\n{}", run.divergence.to_table());
     println!(
@@ -2054,43 +1575,31 @@ fn cmd_audit(args: &[String]) {
         run.hybrid_meta.wall.as_secs_f64(),
         run.truth_meta.events as f64 / run.hybrid_meta.events.max(1) as f64
     );
-
-    if let Some(base) = &ledger_out {
-        let truth_path = format!("{}.truth.json", base.trim_end_matches(".json"));
-        let mut hreport = RunReport::new("audit-hybrid", path.clone());
-        hreport.set_run(
-            run.hybrid_meta.wall.as_secs_f64(),
-            run.hybrid_meta.events,
-            compiled.horizon.as_secs_f64(),
-        );
-        write_ledger(
-            base,
-            "audit-hybrid",
-            "paired",
-            compiled.seed,
-            run_fingerprint([&run.hybrid_net]),
-            Vec::new(),
-            Some(run.divergence.clone()),
-            hreport,
-        );
-        let mut treport = RunReport::new("audit-truth", path.clone());
-        treport.set_run(
-            run.truth_meta.wall.as_secs_f64(),
-            run.truth_meta.events,
-            compiled.horizon.as_secs_f64(),
-        );
-        write_ledger(
-            &truth_path,
-            "audit-truth",
-            "paired",
-            compiled.seed,
-            run_fingerprint([&run.truth_net]),
-            Vec::new(),
-            None,
-            treport,
-        );
+    let fingerprint = run_fingerprint([&run.hybrid_net]);
+    println!("  fingerprint: {fingerprint:#018x}");
+    if let Some(base) = &out.metrics_out {
+        let sides = [
+            ("audit-hybrid", base.clone(), &run.hybrid_meta, fingerprint),
+            (
+                "audit-truth",
+                format!("{}.truth.json", base.trim_end_matches(".json")),
+                &run.truth_meta,
+                run_fingerprint([&run.truth_net]),
+            ),
+        ];
+        for (driver, ledger_path, meta, fingerprint) in sides {
+            let mut report = RunReport::new(driver, path.to_string());
+            report.set_run(meta.wall.as_secs_f64(), meta.events, meta.sim_seconds);
+            let tags = LedgerTags {
+                driver,
+                mode: "paired",
+                fingerprint,
+                recovery: Vec::new(),
+                divergence: (driver == "audit-hybrid").then(|| run.divergence.clone()),
+            };
+            write_ledger(&ledger_path, seed, tags, report);
+        }
     }
-
     let breaches = run.divergence.breaches();
     if !breaches.is_empty() {
         eprintln!("\naudit FAILED: hybrid diverges outside the [audit] bounds");

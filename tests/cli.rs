@@ -208,3 +208,48 @@ fn cli_hybrid_without_model_trains_fallback() {
         "report has run stats and a registry snapshot:\n{json}"
     );
 }
+
+/// The fallback model's capture and training run is not part of the
+/// hybrid run: with no artifact bound, both the `hybrid` subcommand's and
+/// a hybrid scenario's ledgers count exactly the run's own events.
+#[test]
+fn fallback_training_is_not_counted_in_the_run() {
+    let dir = std::env::temp_dir().join("elephant_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let scenario = dir.join("fallback_scoped.toml");
+    let doc = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/hybrid_smoke.toml"
+    ))
+    .unwrap()
+    .replace(
+        "path = \"models/hybrid-smoke.json\"",
+        "path = \"/nonexistent/elephant-fallback-model.json\"",
+    );
+    std::fs::write(&scenario, doc).unwrap();
+    let scenario = scenario.to_str().unwrap();
+    let cases: [&[&str]; 2] = [
+        &["hybrid", "--clusters", "2", "--horizon-ms", "5"],
+        &["run-scenario", scenario, "--horizon-ms", "5"],
+    ];
+    for (i, args) in cases.into_iter().enumerate() {
+        let path = dir.join(format!("fallback_scoped_{i}.json"));
+        let path_s = path.to_str().unwrap();
+        let mut full = args.to_vec();
+        full.extend(["--metrics-out", path_s]);
+        let out = run_ok(&full);
+        assert!(out.contains("default model"), "fallback trained:\n{out}");
+        let ledger = elephant::core::RunLedger::load(&path).expect("ledger validates");
+        let executed = ledger
+            .report
+            .metrics
+            .iter()
+            .find(|m| m.name == "des/kernel/events_executed")
+            .expect("kernel counter recorded")
+            .value;
+        assert_eq!(
+            executed, ledger.report.events as f64,
+            "{args:?}: the counter includes the fallback's capture run"
+        );
+    }
+}

@@ -188,3 +188,55 @@ fn repeat_audit_reproduces_the_sealed_ledger_pair() {
     );
     assert!(t1.divergence.is_none(), "truth side carries no verdict");
 }
+
+/// `audit FILE` and `run-scenario FILE --audit` are one plan: the same
+/// full cluster, the same `[guard]` choice, the same model fallback. On a
+/// scenario whose `[model]` keeps cluster 1 and sheds the guard, both
+/// commands seal equal fingerprints and equal divergence blocks, and
+/// neither side carries guard rows.
+#[test]
+fn audit_command_and_run_scenario_audit_are_the_same_run() {
+    let scenario = tmp_dir().join("audit_same_run.toml");
+    std::fs::write(
+        &scenario,
+        "schema = 1\n\
+         [scenario]\nname = \"audit-same-run\"\n\
+         [topology]\nclusters = 2\n\
+         [run]\nhorizon_ms = 6.0\nseed = 42\n\
+         [[traffic]]\nkind = \"poisson\"\nload = 0.3\n\
+         [model]\nfull_cluster = 1\ntrain_fallback = true\n\
+         [guard]\nenabled = false\n\
+         [audit]\nenabled = true\nmax_drop_rate_error = 1.0\nmax_ks = 1.0\nmax_w1_ratio = 100.0\n",
+    )
+    .unwrap();
+    let scenario = scenario.display().to_string();
+    let ledger = |args: &[&str], name: &str| {
+        let path = tmp_dir().join(name);
+        let path_s = path.display().to_string();
+        let mut full = args.to_vec();
+        full.push(&path_s);
+        let out = elephant_bin().args(&full).output().expect("binary runs");
+        assert!(
+            out.status.success(),
+            "elephant {full:?} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        RunLedger::load(&path).expect("ledger validates")
+    };
+    let a = ledger(&["audit", &scenario, "--ledger-out"], "same_run_a.json");
+    let b = ledger(
+        &["run-scenario", &scenario, "--audit", "--metrics-out"],
+        "same_run_b.json",
+    );
+    assert_eq!(a.fingerprint, b.fingerprint, "the hybrid sides differ");
+    let (da, db) = (a.divergence.expect("block"), b.divergence.expect("block"));
+    assert_eq!(
+        serde_json::to_string(&da).unwrap(),
+        serde_json::to_string(&db).unwrap(),
+        "the divergence blocks differ"
+    );
+    assert!(
+        !da.slices.iter().any(|s| s.key.starts_with("guard_")),
+        "[guard] enabled = false must shed the guard"
+    );
+}

@@ -17,6 +17,7 @@ use elephant::net::{
     OracleCtx, Packet, RawVerdict, RttScope, TcpFlags, TcpSegment, Topology,
 };
 use elephant::nn::{MicroNet, MicroNetConfig, RnnKind};
+use elephant::obs::{ks_distance, wasserstein1, EmpiricalCdf};
 use elephant::trace::{filter_touching_cluster, generate, WorkloadConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -49,41 +50,6 @@ fn trained_model(seed: u64) -> (ClusterModel, ClosParams, Vec<elephant::net::Flo
         },
     );
     (model, params, flows)
-}
-
-/// Two-sample Kolmogorov–Smirnov distance.
-fn ks_distance(a: &[f64], b: &[f64]) -> f64 {
-    let mut a = a.to_vec();
-    let mut b = b.to_vec();
-    a.sort_by(f64::total_cmp);
-    b.sort_by(f64::total_cmp);
-    let (mut i, mut j, mut d) = (0usize, 0usize, 0.0f64);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            i += 1;
-        } else {
-            j += 1;
-        }
-        let gap = (i as f64 / a.len() as f64 - j as f64 / b.len() as f64).abs();
-        d = d.max(gap);
-    }
-    d
-}
-
-/// 1-Wasserstein (earth-mover) distance between two sorted samples,
-/// computed as the integral of |F_a - F_b| over the latency axis.
-fn wasserstein1(a_sorted: &[f64], b_sorted: &[f64]) -> f64 {
-    let mut xs: Vec<f64> = a_sorted.iter().chain(b_sorted).copied().collect();
-    xs.sort_by(f64::total_cmp);
-    let cdf = |v: &[f64], x: f64| v.partition_point(|&s| s <= x) as f64 / v.len() as f64;
-    xs.windows(2)
-        .map(|w| (cdf(a_sorted, w[0]) - cdf(b_sorted, w[0])).abs() * (w[1] - w[0]))
-        .sum()
-}
-
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 /// Full hybrid runs, cache-off vs cache-on: the oracle drop rate must
@@ -260,15 +226,13 @@ fn cached_latency_distribution_matches_uncached() {
         );
         let start = SimTime::from_nanos(1) + SimDuration::from_nanos(w as u64 * 2_000);
         let pkts = stream(&topo, 8, n, start, 1460);
-        let mut lats: Vec<f64> = drive(&mut oracle, &topo, &pkts)
+        drive(&mut oracle, &topo, &pkts)
             .into_iter()
             .filter_map(|v| match v {
                 RawVerdict::Deliver { latency_secs } => Some(latency_secs),
                 RawVerdict::Drop => None,
             })
-            .collect();
-        lats.sort_by(f64::total_cmp);
-        lats
+            .collect::<Vec<f64>>()
     };
 
     let off = latencies(false);
@@ -283,7 +247,8 @@ fn cached_latency_distribution_matches_uncached() {
         (m_on - m_off).abs() / m_off.max(1e-12) < 0.10,
         "mean latency diverged: off {m_off:.3e} vs on {m_on:.3e}"
     );
-    let (p_off, p_on) = (quantile(&off, 0.99), quantile(&on, 0.99));
+    let p99 = |v: &[f64]| EmpiricalCdf::from_samples(v).quantile(0.99);
+    let (p_off, p_on) = (p99(&off), p99(&on));
     assert!(
         (p_on - p_off).abs() / p_off.max(1e-12) < 0.15,
         "p99 latency diverged: off {p_off:.3e} vs on {p_on:.3e}"

@@ -8,11 +8,29 @@
 //! drain-to-quiescence run, delivered byte counts match exactly, and event
 //! counts agree to within tie-ordering noise.
 
-use elephant::core::{run_pdes_full, PdesRun};
-use elephant::des::{EpochMode, SimTime};
-use elephant::net::{ClosParams, NetConfig, RttScope};
+use elephant::core::{
+    execute, DropPolicy, Exec, LearnedOracle, PdesSpec, RunOutcome, RunPlan, WorldSpec,
+};
+use elephant::des::{EpochMode, PdesReport, SimTime};
+use elephant::net::{ClosParams, ClusterOracle, FlowSpec, NetConfig, RttScope};
 use elephant::trace::{generate, LoadProfile, Locality, SizeDist, WorkloadConfig};
-use elephant_bench::{run_hybrid_pdes, run_pdes, train_default_model};
+use elephant_bench::train_default_model;
+
+/// A full-fidelity run under PDES.
+fn run_pdes(
+    params: ClosParams,
+    flows: &[FlowSpec],
+    horizon: SimTime,
+    spec: PdesSpec,
+) -> RunOutcome {
+    let truth = WorldSpec::Truth { capture: None };
+    let plan = RunPlan::new(params, NetConfig::default(), flows, horizon, truth);
+    execute(plan.with_exec(Exec::Pdes(spec))).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn report(run: &RunOutcome) -> &PdesReport {
+    run.report.as_ref().expect("a PDES run has a kernel report")
+}
 
 #[test]
 fn pdes_matches_sequential_outcomes() {
@@ -45,13 +63,17 @@ fn pdes_matches_sequential_outcomes() {
     assert_eq!(net.stats.delivered_bytes, total_bytes);
 
     for (partitions, machines) in [(2usize, 1usize), (4, 2), (4, 4)] {
-        let out = run_pdes(params, &flows, horizon, partitions, machines, 64);
-        // Delivered bytes & completions live inside the partitions'
-        // networks, which run_pdes does not return; event-count agreement
-        // plus the lookahead assertions inside the engine are the
-        // invariant here.
+        let out = run_pdes(
+            params,
+            &flows,
+            horizon,
+            PdesSpec::new(partitions, machines, 64),
+        );
+        assert_eq!(out.flows_completed() as usize, flows.len(), "PDES drains");
+        let delivered: u64 = out.nets.iter().map(|n| n.stats.delivered_bytes).sum();
+        assert_eq!(delivered, total_bytes);
         let seq = meta.events as f64;
-        let par = out.report.events_executed as f64;
+        let par = out.events() as f64;
         let rel = (seq - par).abs() / seq;
         assert!(
             rel < 0.05,
@@ -78,13 +100,16 @@ fn pdes_event_totals_are_reproducible() {
     };
     let flows = generate(&params, &wl);
     let horizon = SimTime::from_secs(10);
-    let a = run_pdes(params, &flows, horizon, 4, 2, 64);
-    let b = run_pdes(params, &flows, horizon, 4, 2, 64);
-    assert_eq!(a.report.remote_messages, b.report.remote_messages);
+    let (a, b) = (
+        run_pdes(params, &flows, horizon, PdesSpec::new(4, 2, 64)),
+        run_pdes(params, &flows, horizon, PdesSpec::new(4, 2, 64)),
+    );
+    let (a, b) = (report(&a), report(&b));
+    assert_eq!(a.remote_messages, b.remote_messages);
     // Event totals can differ only through same-instant mailbox ordering;
     // for this workload they should be stable.
-    let rel = (a.report.events_executed as f64 - b.report.events_executed as f64).abs()
-        / a.report.events_executed as f64;
+    let rel =
+        (a.events_executed as f64 - b.events_executed as f64).abs() / a.events_executed as f64;
     assert!(rel < 0.01, "repeat runs diverged: {a:?} vs {b:?}");
 }
 
@@ -99,10 +124,10 @@ struct Fingerprint {
     fct: Vec<(u64, u64, u64)>,
 }
 
-fn fingerprints(run: &PdesRun) -> Vec<Fingerprint> {
+fn fingerprints(run: &RunOutcome) -> Vec<Fingerprint> {
     run.nets
         .iter()
-        .zip(&run.report.partitions)
+        .zip(&report(run).partitions)
         .map(|(net, p)| Fingerprint {
             completed: net.stats.flows_completed,
             delivered: net.stats.delivered_bytes,
@@ -155,9 +180,12 @@ fn adaptive_and_fixed_epochs_compute_identical_simulations() {
     }
     let horizon = SimTime::from_millis(24);
 
-    let run = |mode: EpochMode| -> PdesRun {
-        run_pdes_full(params, &flows, horizon, 4, 2, 64, mode, None, None)
-            .unwrap_or_else(|e| panic!("PDES run failed: {e}"))
+    let run = |mode: EpochMode| -> RunOutcome {
+        let spec = PdesSpec {
+            mode,
+            ..PdesSpec::new(4, 2, 64)
+        };
+        run_pdes(params, &flows, horizon, spec)
     };
     let adaptive = run(EpochMode::Adaptive);
     let fixed = run(EpochMode::Fixed);
@@ -168,19 +196,18 @@ fn adaptive_and_fixed_epochs_compute_identical_simulations() {
         "epoch planning changed the simulation"
     );
     assert!(
-        adaptive.report.epochs < fixed.report.epochs,
+        report(&adaptive).epochs < report(&fixed).epochs,
         "adaptive must execute strictly fewer epochs: {} vs {}",
-        adaptive.report.epochs,
-        fixed.report.epochs
+        report(&adaptive).epochs,
+        report(&fixed).epochs
     );
     assert!(
-        adaptive.report.epochs_jumped > 0,
+        report(&adaptive).epochs_jumped > 0,
         "the idle gap must be jumped, not ground through"
     );
-    assert_eq!(fixed.report.epochs_jumped, 0, "fixed mode never jumps");
+    assert_eq!(report(&fixed).epochs_jumped, 0, "fixed mode never jumps");
     // The load imbalance must actually hold, or this test is vacuous.
-    let events: Vec<u64> = adaptive
-        .report
+    let events: Vec<u64> = report(&adaptive)
         .partitions
         .iter()
         .map(|p| p.events)
@@ -212,14 +239,26 @@ fn hybrid_pdes_smoke() {
         0,
     );
     assert!(!flows.is_empty());
-    let (out, oracle_pkts) = run_hybrid_pdes(params, 0, &model, &flows, horizon, 2, 64, 9);
+    let oracle = Box::new(|p: Option<usize>| -> Box<dyn ClusterOracle + Send> {
+        let seed = 9u64.wrapping_add(p.unwrap_or(0) as u64);
+        Box::new(LearnedOracle::new(
+            model.clone(),
+            params,
+            DropPolicy::Sample,
+            seed,
+        ))
+    });
+    let world = WorldSpec::Hybrid {
+        full_cluster: 0,
+        oracle,
+    };
+    let plan = RunPlan::new(params, NetConfig::default(), &flows, horizon, world)
+        .with_exec(Exec::Pdes(PdesSpec::new(0, 2, 64)));
+    let out = execute(plan).unwrap_or_else(|e| panic!("{e}"));
+    let oracle_pkts = out.oracle_deliveries();
+    assert!(out.events() > 10_000, "events {}", out.events());
     assert!(
-        out.report.events_executed > 10_000,
-        "events {}",
-        out.report.events_executed
-    );
-    assert!(
-        out.report.remote_messages > 100,
+        report(&out).remote_messages > 100,
         "cross-partition traffic flows"
     );
     assert!(

@@ -439,3 +439,34 @@ fn cli_model_artifact_errors_exit_6_with_scenario_context() {
     let _ = std::fs::remove_file(&tmp);
     let _ = std::fs::remove_file(&bad_model);
 }
+
+/// `[run] dctcp = true` reaches every PDES partition: the partitions mark
+/// ECN, and the run differs from the New Reno one.
+#[test]
+fn pdes_runs_honour_dctcp() {
+    let dir = std::env::temp_dir().join("elephant_scenarios_dctcp");
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |dctcp: bool| {
+        let path = dir.join(format!("dctcp_{dctcp}.toml"));
+        std::fs::write(
+            &path,
+            format!(
+                "schema = 1\n[scenario]\nname = \"dctcp\"\n[topology]\nclusters = 2\n\
+                 [run]\nhorizon_ms = 6.0\nseed = 42\ndctcp = {dctcp}\n\
+                 [[traffic]]\nkind = \"poisson\"\nload = 0.5\n"
+            ),
+        )
+        .unwrap();
+        let s = load(&path.display().to_string()).expect("scenario loads");
+        let run = compile(&s, &CompileOverrides::default())
+            .run_pdes(Some(2), EpochMode::Adaptive, None)
+            .expect("PDES run");
+        let marks: u64 = run.nets.iter().map(|n| n.port_totals().0).sum();
+        (marks, run_fingerprint(run.nets.iter()))
+    };
+    let (reno_marks, reno) = run(false);
+    let (dctcp_marks, dctcp) = run(true);
+    assert_eq!(reno_marks, 0, "New Reno sets no ECT");
+    assert!(dctcp_marks > 0, "DCTCP partitions mark ECN");
+    assert_ne!(reno, dctcp, "the TCP variant changed nothing");
+}

@@ -4,9 +4,11 @@
 //! chunks instead of scheduling FEL events, and trace/timeline recording
 //! only reads state — so an observed run is bit-identical to a blind one.
 
-use elephant::core::{run_ground_truth_observed, run_hybrid_observed};
+use elephant::core::{execute, single_oracle, RunMeta, RunPlan, WorldSpec};
 use elephant::des::{SimDuration, SimTime};
-use elephant::net::{ClosParams, IdealOracle, NetConfig, NetSampler, Network, RttScope, TraceLog};
+use elephant::net::{
+    ClosParams, FlowSpec, IdealOracle, NetConfig, NetSampler, Network, RttScope, TraceLog,
+};
 use elephant::trace::{filter_touching_cluster, generate, WorkloadConfig};
 
 const HORIZON: SimTime = SimTime::from_millis(15);
@@ -47,6 +49,33 @@ fn fingerprint(net: &Network, events: u64) -> Fingerprint {
     }
 }
 
+/// Runs `world` sequentially, optionally with a strided trace and a
+/// sampler attached.
+fn run(
+    params: ClosParams,
+    world: WorldSpec,
+    flows: &[FlowSpec],
+    sampler: Option<&mut NetSampler>,
+) -> (Network, RunMeta) {
+    let mut plan = RunPlan::new(params, cfg(), flows, HORIZON, world);
+    if sampler.is_some() {
+        plan.observe.trace = Some(TraceLog::strided(20_000, 500_000));
+    }
+    plan.observe.sampler = sampler;
+    execute(plan).expect("plain run").into_sequential()
+}
+
+fn truth() -> WorldSpec<'static> {
+    WorldSpec::Truth { capture: None }
+}
+
+fn ideal_hybrid() -> WorldSpec<'static> {
+    WorldSpec::Hybrid {
+        full_cluster: 0,
+        oracle: single_oracle(Box::new(IdealOracle)),
+    }
+}
+
 fn cfg() -> NetConfig {
     NetConfig {
         rtt_scope: RttScope::Cluster(0),
@@ -59,22 +88,14 @@ fn ground_truth_fingerprint_survives_full_observability() {
     let params = ClosParams::paper_cluster(2);
     let flows = generate(&params, &WorkloadConfig::paper_default(HORIZON, 21));
 
-    let (net, meta) = run_ground_truth_observed(params, cfg(), None, &flows, HORIZON, None, None);
+    let (net, meta) = run(params, truth(), &flows, None);
     let blind = fingerprint(&net, meta.events);
 
     // Timeline on, strided trace installed, 50µs sampler chunking the run.
     elephant::obs::timeline().reset();
     elephant::obs::set_timeline_enabled(true);
     let mut sampler = NetSampler::new(SimDuration::from_micros(50), &flows);
-    let (net, meta) = run_ground_truth_observed(
-        params,
-        cfg(),
-        None,
-        &flows,
-        HORIZON,
-        Some(TraceLog::strided(20_000, 500_000)),
-        Some(&mut sampler),
-    );
+    let (net, meta) = run(params, truth(), &flows, Some(&mut sampler));
     elephant::net::export_flow_timeline(&net, 32);
     elephant::obs::set_timeline_enabled(false);
     let recorded = elephant::obs::timeline().len();
@@ -94,29 +115,11 @@ fn hybrid_fingerprint_survives_full_observability() {
         0,
     );
 
-    let (net, meta) = run_hybrid_observed(
-        params,
-        0,
-        Box::new(IdealOracle),
-        cfg(),
-        &flows,
-        HORIZON,
-        None,
-        None,
-    );
+    let (net, meta) = run(params, ideal_hybrid(), &flows, None);
     let blind = fingerprint(&net, meta.events);
 
     let mut sampler = NetSampler::new(SimDuration::from_micros(75), &flows);
-    let (net, meta) = run_hybrid_observed(
-        params,
-        0,
-        Box::new(IdealOracle),
-        cfg(),
-        &flows,
-        HORIZON,
-        Some(TraceLog::strided(20_000, 500_000)),
-        Some(&mut sampler),
-    );
+    let (net, meta) = run(params, ideal_hybrid(), &flows, Some(&mut sampler));
     let observed = fingerprint(&net, meta.events);
 
     assert!(net.stats.oracle_deliveries > 0, "oracle exercised");
